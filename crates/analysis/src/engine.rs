@@ -13,19 +13,22 @@
 //!    symbolic stats and per-tensor element expressions — an **exact**
 //!    rational-arithmetic substitution, not a float evaluation;
 //! 3. per sweep point, binds the subbatch symbol and evaluates the closed
-//!    form; the footprint simulation runs on the family graph against the
-//!    substituted size table.
+//!    form; the footprint simulation ([`cgraph::footprint_peak`]) runs on
+//!    the family plan against the substituted size table.
 //!
 //! Everything symbolic is held as hash-consed [`ExprId`]s: family stats and
-//! element counts are [`InternedGraphStats`] / id vectors, substitution goes
-//! through the `symath` bind memo (one exact substitution per distinct
-//! `(expression, width)` pair process-wide), and evaluation executes the
-//! per-id compiled stack programs.
+//! element counts are [`InternedGraphStats`] / id vectors, and substitution
+//! goes through the `symath` bind memo (one exact substitution per distinct
+//! `(expression, width)` pair process-wide). Evaluation of a batch
+//! ([`FamilyEngine::characterize_many`]) runs one batched register-VM grid
+//! ([`batch_program`]) per instance over all of its subbatches; a single
+//! point ([`FamilyEngine::characterize`]) runs the per-id compiled stack
+//! programs.
 //!
 //! Every number produced this way is **bit-identical** to
 //! [`characterize`](crate::characterize): substitution commutes with the
 //! builders' ring operations on widths, so step 2 reproduces the concrete
-//! build's canonical expressions; compiled programs replay the tree
+//! build's canonical expressions; both compiled evaluators replay the tree
 //! evaluator's exact f64 operation order; and the footprint simulation sees
 //! the same graph structure and the same byte sizes. The golden equivalence
 //! suite (`tests/golden_sweep.rs`) asserts this with `==` on every field.
@@ -39,7 +42,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
-use cgraph::{footprint_with_plan, FootprintPlan, InPlacePolicy, InternedGraphStats, Scheduler};
+use cgraph::{footprint_peak, FootprintPlan, InternedGraphStats};
 use modelzoo::{ModelConfig, ModelGraph, BATCH_SYM};
 use rayon::prelude::*;
 use symath::{batch_program, Bindings, ExprId};
@@ -208,12 +211,7 @@ impl FamilyEngine {
             .iter()
             .map(|&(slot, db)| uniq[slot as usize] * db)
             .collect();
-        let fp = footprint_with_plan(
-            &inst.family.plan,
-            &sizes,
-            Scheduler::Best,
-            InPlacePolicy::Never,
-        );
+        let footprint = footprint_peak(&inst.family.plan, &sizes);
         CharacterizationPoint {
             params: n.params,
             subbatch,
@@ -221,7 +219,7 @@ impl FamilyEngine {
             flops_per_sample: n.flops / subbatch as f64,
             bytes_per_step: n.bytes,
             op_intensity: n.flops / n.bytes,
-            footprint_bytes: fp.peak_bytes as f64,
+            footprint_bytes: footprint as f64,
             seq_len: inst.family.model.seq_len,
         }
     }
@@ -281,12 +279,7 @@ impl FamilyEngine {
                     .iter()
                     .map(|&(slot, db)| uniq[slot as usize] * db)
                     .collect();
-                let fp = footprint_with_plan(
-                    &inst.family.plan,
-                    &sizes,
-                    Scheduler::Best,
-                    InPlacePolicy::Never,
-                );
+                let footprint = footprint_peak(&inst.family.plan, &sizes);
                 CharacterizationPoint {
                     params,
                     subbatch,
@@ -294,7 +287,7 @@ impl FamilyEngine {
                     flops_per_sample: flops / subbatch as f64,
                     bytes_per_step: bytes,
                     op_intensity: flops / bytes,
-                    footprint_bytes: fp.peak_bytes as f64,
+                    footprint_bytes: footprint as f64,
                     seq_len: inst.family.model.seq_len,
                 }
             })

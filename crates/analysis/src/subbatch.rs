@@ -14,7 +14,7 @@
 //! * **saturation** (green): smallest power of two reaching 95% of the
 //!   intensity limit `f₁/a₁`.
 
-use cgraph::{footprint_with_sizes, InPlacePolicy, Scheduler};
+use cgraph::{footprint_peak, FootprintPlan};
 use modelzoo::{ModelConfig, ModelGraph};
 use roofline::{roofline_time, Accelerator};
 use serde::{Deserialize, Serialize};
@@ -97,16 +97,18 @@ pub fn subbatch_analysis(
     assert!(f1 > 0.0 && a1 > 0.0);
     let intensity_limit = f1 / a1;
 
-    // Per-tensor element closed forms, extracted once; each footprint point
-    // binds the batch symbol instead of re-walking the graph (the exact
-    // rounding `cgraph::tensor_sizes` performs).
-    let size_exprs: Option<Vec<(Expr, u64)>> = with_footprints.then(|| {
-        model
+    // Per-tensor element closed forms and the footprint plan, extracted
+    // once; each footprint point binds the batch symbol instead of
+    // re-walking the graph (the exact rounding `cgraph::tensor_sizes`
+    // performs).
+    let footprint: Option<(Vec<(Expr, u64)>, FootprintPlan)> = with_footprints.then(|| {
+        let exprs = model
             .graph
             .tensors()
             .iter()
             .map(|t| (t.shape.elements(), t.dtype.size_bytes()))
-            .collect()
+            .collect();
+        (exprs, FootprintPlan::new(&model.graph))
     });
 
     let eval_point = |b: u64| -> SubbatchPoint {
@@ -114,14 +116,13 @@ pub fn subbatch_analysis(
         let flops = f1 * bf + f0;
         let bytes = a1 * bf + a0;
         let t = roofline_time(flops, bytes, accel);
-        let fp = size_exprs.as_ref().map(|exprs| {
+        let fp = footprint.as_ref().map(|(exprs, plan)| {
             let bindings = model.bindings_with_batch(b);
             let sizes: Vec<u64> = exprs
                 .iter()
                 .map(|(e, db)| e.eval_u64(&bindings).expect("bound") * db)
                 .collect();
-            footprint_with_sizes(&model.graph, &sizes, Scheduler::Best, InPlacePolicy::Never)
-                .peak_bytes as f64
+            footprint_peak(plan, &sizes) as f64
         });
         SubbatchPoint {
             batch: b,

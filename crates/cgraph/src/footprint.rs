@@ -12,8 +12,20 @@
 //!   minimizes the net change in live memory — a strong practical baseline
 //!   that the ablation bench compares against program order.
 //!
+//! [`Scheduler::Best`] keeps whichever of the two peaks lower, greedy on a
+//! tie. Both traversals start from one shared set-up (reference counts, the
+//! live source tensors, the starting memory). [`footprint_peak`] prices
+//! `Best` in one pass without building a schedule: program order runs first,
+//! then greedy stops as soon as its running peak exceeds the program-order
+//! peak. The cut-off is exact because a running peak never decreases, so a
+//! greedy traversal that has passed the program-order peak can only end
+//! above it, and `Best` would discard it.
+//!
 //! Weights and weight-gradients are persistent for the whole step;
 //! activations and gradients are freed once their last consumer has run.
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use symath::{Bindings, UnboundSymbol};
 
@@ -376,9 +388,9 @@ impl FootprintPlan {
     }
 }
 
-/// [`Sim`] over a [`FootprintPlan`]: the same simulation semantics,
-/// statement for statement, but reading packed index tables instead of graph
-/// structs.
+/// [`Sim`] over a [`FootprintPlan`]: the same simulation semantics, but
+/// reading packed index tables instead of graph structs.
+#[derive(Clone)]
 struct PlanSim<'p> {
     plan: &'p FootprintPlan,
     size: &'p [u64],
@@ -451,23 +463,25 @@ impl<'p> PlanSim<'p> {
             .sum()
     }
 
-    fn delta(&self, op: usize) -> i128 {
-        let alloc = self.alloc_bytes(op) as i128;
-        let mut d: i128 = alloc;
-        for &o in self.plan.outputs(op) {
+    /// `(delta, alloc_bytes)` of running `op` now, without mutating state.
+    fn delta_alloc(&self, op: usize) -> (i128, u64) {
+        let in_place = self.runs_in_place(op);
+        let outputs = self.plan.outputs(op);
+        let mut alloc = 0;
+        let mut d: i128 = 0;
+        for &o in outputs {
             let oi = o as usize;
+            alloc += self.size[oi];
             if self.plan.consumers(oi).is_empty() && !self.plan.persistent[oi] {
                 d -= self.size[oi] as i128;
             }
         }
-        let in_place = self.runs_in_place(op);
+        if in_place {
+            alloc = 0;
+        }
+        d += alloc as i128;
         let mut reused = false;
-        let out_size = self
-            .plan
-            .outputs(op)
-            .first()
-            .map(|&o| self.size[o as usize])
-            .unwrap_or(0);
+        let out_size = outputs.first().map(|&o| self.size[o as usize]).unwrap_or(0);
         for &i in self.plan.inputs(op) {
             let idx = i as usize;
             if self.refcount[idx] == 1 && !self.plan.persistent[idx] && self.live[idx] {
@@ -478,7 +492,7 @@ impl<'p> PlanSim<'p> {
                 d -= self.size[idx] as i128;
             }
         }
-        d
+        (d, alloc)
     }
 
     fn run(&mut self, op: usize) {
@@ -571,48 +585,80 @@ pub fn footprint_with_sizes(
 
 /// Simulate a traversal of a precompiled plan against one size table.
 /// Identical results to [`footprint_with_sizes`] on the planned graph.
+///
+/// `Scheduler::Best` runs both traversals to the end from one shared set-up
+/// and reports the winner's schedule; callers that only need the peak should
+/// use [`footprint_peak`], which stops the greedy traversal early.
 pub fn footprint_with_plan(
     plan: &FootprintPlan,
     sizes: &[u64],
     scheduler: Scheduler,
     in_place: InPlacePolicy,
 ) -> FootprintReport {
-    let _span = obs::span("cgraph.footprint")
-        .with_arg("graph", plan.name.as_str())
-        .with_arg("scheduler", format!("{scheduler:?}"))
-        .with_arg("ops", plan.ops());
-    if scheduler == Scheduler::Best {
-        let program = footprint_with_plan(plan, sizes, Scheduler::ProgramOrder, in_place);
-        let greedy = footprint_with_plan(plan, sizes, Scheduler::GreedyMinPeak, in_place);
-        return if greedy.peak_bytes <= program.peak_bytes {
-            greedy
-        } else {
-            program
-        };
-    }
-    let mut sim = PlanSim::new(plan, sizes, in_place);
+    let _span = footprint_span(plan, scheduler);
+    let start = PlanSim::new(plan, sizes, in_place);
     let persistent_bytes: u64 = (0..plan.tensors())
         .filter(|&t| plan.persistent[t])
         .map(|t| sizes[t])
         .sum();
+    let program_order = || (0..plan.ops() as u32).map(OpId).collect::<Vec<_>>();
+    let full_greedy = |mut sim: PlanSim<'_>| {
+        let mut schedule = Vec::with_capacity(plan.ops());
+        greedy_traversal(plan, &mut sim, Some(&mut schedule), u64::MAX);
+        (sim.peak, schedule)
+    };
 
-    let schedule = match scheduler {
-        Scheduler::ProgramOrder => {
-            let order: Vec<OpId> = (0..plan.ops() as u32).map(OpId).collect();
-            for op in 0..plan.ops() {
-                sim.run(op);
+    let (peak_bytes, schedule) = match scheduler {
+        Scheduler::ProgramOrder => (program_order_peak(start), program_order()),
+        Scheduler::GreedyMinPeak => full_greedy(start),
+        Scheduler::Best => {
+            let program = program_order_peak(start.clone());
+            let (greedy, schedule) = full_greedy(start);
+            if greedy <= program {
+                (greedy, schedule)
+            } else {
+                (program, program_order())
             }
-            order
         }
-        Scheduler::GreedyMinPeak => greedy_schedule(plan, &mut sim),
-        Scheduler::Best => unreachable!("handled above"),
     };
 
     FootprintReport {
-        peak_bytes: sim.peak,
+        peak_bytes,
         persistent_bytes,
         schedule,
     }
+}
+
+/// The peak of [`footprint_with_plan`] under `Scheduler::Best` and
+/// `InPlacePolicy::Never`, without building a schedule.
+///
+/// Program order runs first; the greedy traversal then stops as soon as its
+/// running peak exceeds the program-order peak. That is exact: a running
+/// peak never decreases, and `Best` keeps the greedy traversal only when its
+/// final peak is at most the program-order one.
+pub fn footprint_peak(plan: &FootprintPlan, sizes: &[u64]) -> u64 {
+    let _span = footprint_span(plan, Scheduler::Best);
+    let start = PlanSim::new(plan, sizes, InPlacePolicy::Never);
+    let program = program_order_peak(start.clone());
+    let mut greedy = start;
+    greedy_traversal(plan, &mut greedy, None, program);
+    greedy.peak.min(program)
+}
+
+/// One `cgraph.footprint` span per priced size table.
+fn footprint_span(plan: &FootprintPlan, scheduler: Scheduler) -> obs::Span {
+    obs::span("cgraph.footprint")
+        .with_arg("graph", plan.name.as_str())
+        .with_arg("scheduler", format!("{scheduler:?}"))
+        .with_arg("ops", plan.ops())
+}
+
+/// Run every op in construction order and return the peak.
+fn program_order_peak(mut sim: PlanSim<'_>) -> u64 {
+    for op in 0..sim.plan.ops() {
+        sim.run(op);
+    }
+    sim.peak
 }
 
 /// The pre-optimization reference simulation: the naive greedy selection
@@ -659,7 +705,8 @@ pub fn footprint_reference(
     })
 }
 
-/// The scheduler's selection key for a ready op under the current state.
+/// A ready op's selection key: orders ready ops by
+/// `(delta, alloc_bytes, id)`.
 ///
 /// The reference loop minimizes `(delta, transient_peak, id)` where
 /// `transient_peak = mem + alloc_bytes`; `mem` is shared by every candidate
@@ -667,19 +714,108 @@ pub fn footprint_reference(
 /// the same op — and unlike `transient_peak`, this key only changes when the
 /// state of the op's own input tensors changes, making it incrementally
 /// maintainable.
-fn greedy_key(sim: &PlanSim<'_>, op: usize) -> (i128, u64, u32) {
-    (sim.delta(op), sim.alloc_bytes(op), op as u32)
+trait ReadyKey: Copy + Ord {
+    /// `cur_key` sentinel for "not ready"; never equal to a real key.
+    const NOT_READY: Self;
+    fn new(delta: i128, alloc: u64, op: u32) -> Self;
+    fn op(self) -> usize;
+    /// The same key with `ds` added to its delta component.
+    fn patched(self, ds: i128) -> Self;
+}
+
+/// The general key: exact for any size table.
+impl ReadyKey for (i128, u64, u32) {
+    /// Unreachable: `delta` is bounded by a sum of `u64` sizes.
+    const NOT_READY: Self = (i128::MAX, u64::MAX, u32::MAX);
+
+    fn new(delta: i128, alloc: u64, op: u32) -> Self {
+        (delta, alloc, op)
+    }
+
+    fn op(self) -> usize {
+        self.2 as usize
+    }
+
+    fn patched(self, ds: i128) -> Self {
+        (self.0 + ds, self.1, self.2)
+    }
+}
+
+/// Bias making the packed delta field non-negative; also the size-sum bound
+/// under which packing is exact.
+const PACK_BIAS: u64 = 1 << 47;
+
+/// The packed key: `(delta, alloc, id)` in one `u128`, preserving
+/// lexicographic order — biased delta in bits 127..80 (48 bits), alloc in
+/// bits 79..32 (48 bits), op id in bits 31..0. Exact whenever the total size
+/// table sums below [`PACK_BIAS`] bytes, which bounds both `|delta|` and
+/// `alloc`. Heap sift compares are then one wide integer compare instead of a
+/// three-field tuple walk, and a delta patch is a single wrapping add into
+/// the top field (the addend's low 80 bits are zero).
+impl ReadyKey for u128 {
+    /// Unreachable: the alloc field is never all-ones under the size bound.
+    const NOT_READY: Self = u128::MAX;
+
+    fn new(delta: i128, alloc: u64, op: u32) -> Self {
+        debug_assert!((-(PACK_BIAS as i128)..PACK_BIAS as i128).contains(&delta));
+        debug_assert!(alloc < PACK_BIAS);
+        (((delta + PACK_BIAS as i128) as u128) << 80) | ((alloc as u128) << 32) | op as u128
+    }
+
+    fn op(self) -> usize {
+        (self & u32::MAX as u128) as usize
+    }
+
+    fn patched(self, ds: i128) -> Self {
+        self.wrapping_add((ds << 80) as u128)
+    }
+}
+
+/// Greedy min-peak traversal of `sim`, recording the op order into
+/// `schedule` when one is given, and stopping as soon as the running peak
+/// exceeds `cutoff` (`u64::MAX` never stops). Returns whether every op ran.
+///
+/// Keys go into a single `u128` when every tensor size fits the packed-key
+/// bound (the common case for every real model grid) and into tuples
+/// otherwise; both run [`greedy_loop`].
+fn greedy_traversal(
+    plan: &FootprintPlan,
+    sim: &mut PlanSim<'_>,
+    schedule: Option<&mut Vec<OpId>>,
+    cutoff: u64,
+) -> bool {
+    let incremental = sim.in_place == InPlacePolicy::Never;
+    if incremental {
+        let total: u128 = sim.size.iter().map(|&s| s as u128).sum();
+        if total < PACK_BIAS as u128 {
+            return greedy_loop::<u128>(plan, sim, true, schedule, cutoff);
+        }
+    }
+    greedy_loop::<(i128, u64, u32)>(plan, sim, incremental, schedule, cutoff)
+}
+
+/// Push `k` onto the ready heap, overwriting the executed op's entry at the
+/// top while it is still there (`top_dead`): one sift instead of a pop and a
+/// push, and none at all when `k` is the new minimum.
+fn push<K: Ord>(ready: &mut BinaryHeap<Reverse<K>>, top_dead: &mut bool, k: K) {
+    if std::mem::take(top_dead) {
+        *ready.peek_mut().expect("the executed op's entry") = Reverse(k);
+    } else {
+        ready.push(Reverse(k));
+    }
 }
 
 /// Greedy min-peak traversal with an incrementally maintained ready set.
 ///
 /// Produces exactly the schedule of [`greedy_schedule_reference`]: same
-/// selection key ordering (see [`greedy_key`]), and keys are refreshed for
-/// precisely the ready ops whose key inputs changed — the consumers of the
-/// executed op's non-persistent operand tensors. Persistent tensors
-/// (weights, optimizer state) never satisfy the dying-input or in-place
-/// conditions the key reads, so their high-fanout consumer lists are
-/// skipped, which is what removes the O(ready²) rescan cost.
+/// selection key ordering (see [`ReadyKey`]), and keys are refreshed for
+/// precisely the ready ops whose key inputs changed. A key reads an input
+/// only through whether it is *dying* (`refcount == 1 && live &&
+/// !persistent`), and an input turns dying exactly when an op leaves it
+/// with one pending consumer edge; only that consumer's key is refreshed.
+/// Persistent tensors (weights, optimizer state) never turn dying, so their
+/// high-fanout consumer lists are never walked, which is what removes the
+/// O(ready²) rescan cost.
 ///
 /// The ready set is a min-heap with **lazy deletion**: a key refresh pushes
 /// the new key and leaves the old entry in place, and selection pops until
@@ -689,102 +825,87 @@ fn greedy_key(sim: &PlanSim<'_>, op: usize) -> (i128, u64, u32) {
 /// same op a `BTreeSet` of current keys would yield, but without paying a
 /// tree rebalance on every refresh.
 ///
-/// Under [`InPlacePolicy::Never`] the keys themselves are maintained
-/// **incrementally**: `alloc_bytes` is then state-independent, and `delta`
-/// depends on the simulation only through the dying-input sum — input
-/// tensors with `refcount == 1 && live && !persistent` — so a ready op's key
-/// changes exactly when one of its input tensors toggles that dying state,
-/// and the change is `∓size` on the delta component. Tracking per-tensor
-/// dying flags turns the per-step refresh from "recompute `delta` (a walk
-/// over every operand) for every consumer of every touched tensor" into a
-/// constant-time patch per actually-toggled tensor edge. The `Elementwise`
-/// policy keeps the full recompute: in-place reuse makes `alloc_bytes`
-/// state-dependent too, and that policy is off the sweep hot path.
-///
-/// When every tensor size fits the packed-key bound (see
-/// [`greedy_schedule_packed`]) the incremental path additionally runs with
-/// single-`u128` keys — the common case for every real model grid.
-fn greedy_schedule(plan: &FootprintPlan, sim: &mut PlanSim<'_>) -> Vec<OpId> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    let incremental_keys = sim.in_place == InPlacePolicy::Never;
-    if incremental_keys {
-        // Heap compares dominate the greedy pass; if the whole size table
-        // sums below 2^47 bytes (~140 TB — true for any priceable model),
-        // `delta`, `alloc`, and the op id pack exactly into one u128 key.
-        let total: u128 = sim.size.iter().map(|&s| s as u128).sum();
-        if total < PACK_BIAS as u128 {
-            return greedy_schedule_packed(plan, sim);
-        }
-    }
+/// With `incremental` (only sound under [`InPlacePolicy::Never`]) the keys
+/// themselves are maintained **incrementally**: `alloc_bytes` is then
+/// state-independent, and `delta` depends on the simulation only through the
+/// dying-input sum, so an input turning dying changes its consumer's key by
+/// `-size` per edge: a constant-time patch instead of recomputing `delta`
+/// (a walk over every operand). The `Elementwise` policy keeps the full
+/// recompute: in-place reuse makes `alloc_bytes` state-dependent too, and
+/// that policy is off the sweep hot path.
+fn greedy_loop<K: ReadyKey>(
+    plan: &FootprintPlan,
+    sim: &mut PlanSim<'_>,
+    incremental: bool,
+    mut schedule: Option<&mut Vec<OpId>>,
+    cutoff: u64,
+) -> bool {
     let n_ops = plan.ops();
     // deps[o] = not-yet-executed producer-backed input occurrences.
     let mut deps: Vec<u32> = plan.init_deps.clone();
-    // dying[t] = this tensor's storage is released by its final pending
-    // consumer (the state `delta` reads per input occurrence).
-    let mut dying: Vec<bool> = (0..plan.tensors())
-        .map(|i| sim.refcount[i] == 1 && sim.live[i] && !plan.persistent[i])
-        .collect();
-    let mut ready: BinaryHeap<Reverse<(i128, u64, u32)>> = BinaryHeap::with_capacity(n_ops);
-    let mut cur_key: Vec<Option<(i128, u64, u32)>> = vec![None; n_ops];
+    let key = |sim: &PlanSim<'_>, op: usize| {
+        let (delta, alloc) = sim.delta_alloc(op);
+        K::new(delta, alloc, op as u32)
+    };
+    let mut ready: BinaryHeap<Reverse<K>> = BinaryHeap::with_capacity(n_ops);
+    let mut cur_key: Vec<K> = vec![K::NOT_READY; n_ops];
     for op in 0..n_ops {
         if deps[op] == 0 {
-            let k = greedy_key(sim, op);
+            let k = key(sim, op);
             ready.push(Reverse(k));
-            cur_key[op] = Some(k);
+            cur_key[op] = k;
         }
     }
-    let mut schedule = Vec::with_capacity(n_ops);
+    let mut ran = 0;
 
-    while let Some(Reverse(k)) = ready.pop() {
-        let op = k.2 as usize;
-        if cur_key[op] != Some(k) {
+    while let Some(&Reverse(k)) = ready.peek() {
+        let op = k.op();
+        if cur_key[op] != k {
+            ready.pop();
             continue; // stale entry superseded by a key refresh
         }
-        cur_key[op] = None;
+        cur_key[op] = K::NOT_READY;
+        let mut top_dead = true;
         sim.run(op);
-        schedule.push(OpId(k.2));
-        // Refresh ready ops whose key may have changed: consumers of the
-        // tensors whose refcount/liveness this op just touched. Runs before
-        // dependents are unlocked so freshly computed keys (which already
-        // reflect the post-run state) are never patched twice.
-        for &t in plan.inputs(op).iter().chain(plan.outputs(op)) {
+        ran += 1;
+        if let Some(schedule) = schedule.as_deref_mut() {
+            schedule.push(OpId(op as u32));
+        }
+        if sim.peak > cutoff {
+            return false;
+        }
+        // Refresh ready keys. A key reads only whether each input is dying
+        // (live, not persistent, one pending consumer edge left), so the one
+        // change this op can make to a ready key is an input it left with
+        // exactly one pending edge: that input is now dying. Inputs it left
+        // with none have no ready consumer, and its outputs' consumers are
+        // not ready until unlocked below, with keys computed from the
+        // post-run state. Runs before the unlock so those keys are never
+        // patched twice.
+        let inputs = plan.inputs(op);
+        for (j, &t) in inputs.iter().enumerate() {
             let ti = t as usize;
-            if plan.persistent[ti] {
+            if sim.refcount[ti] != 1
+                || !sim.live[ti]
+                || plan.persistent[ti]
+                || inputs[..j].contains(&t)
+            {
                 continue;
             }
-            if incremental_keys {
-                let now = sim.refcount[ti] == 1 && sim.live[ti];
-                if now == dying[ti] {
+            for &c in plan.consumers(ti) {
+                let ci = c as usize;
+                if cur_key[ci] == K::NOT_READY {
                     continue;
                 }
-                dying[ti] = now;
-                // Dying inputs are subtracted from `delta`; one patch per
-                // consumer edge matches `delta`'s per-occurrence sum.
-                let ds = if now {
-                    -(sim.size[ti] as i128)
+                // A dying input is subtracted from its consumer's `delta`.
+                let new = if incremental {
+                    cur_key[ci].patched(-(sim.size[ti] as i128))
                 } else {
-                    sim.size[ti] as i128
+                    key(sim, ci)
                 };
-                for &c in plan.consumers(ti) {
-                    let ci = c as usize;
-                    if let Some(old) = cur_key[ci] {
-                        let new = (old.0 + ds, old.1, old.2);
-                        ready.push(Reverse(new));
-                        cur_key[ci] = Some(new);
-                    }
-                }
-            } else {
-                for &c in plan.consumers(ti) {
-                    let ci = c as usize;
-                    if let Some(old) = cur_key[ci] {
-                        let new = greedy_key(sim, ci);
-                        if new != old {
-                            ready.push(Reverse(new));
-                            cur_key[ci] = Some(new);
-                        }
-                    }
+                if new != cur_key[ci] {
+                    push(&mut ready, &mut top_dead, new);
+                    cur_key[ci] = new;
                 }
             }
         }
@@ -795,118 +916,21 @@ fn greedy_schedule(plan: &FootprintPlan, sim: &mut PlanSim<'_>) -> Vec<OpId> {
                 let ci = c as usize;
                 deps[ci] -= 1;
                 if deps[ci] == 0 {
-                    let k = greedy_key(sim, ci);
-                    ready.push(Reverse(k));
-                    cur_key[ci] = Some(k);
-                }
-            }
-        }
-    }
-    assert_eq!(
-        schedule.len(),
-        n_ops,
-        "greedy scheduler failed to schedule every op (cycle?)"
-    );
-    schedule
-}
-
-/// Bias making the packed delta field non-negative; also the size-sum bound
-/// under which packing is exact.
-const PACK_BIAS: u64 = 1 << 47;
-
-/// Pack `(delta, alloc, id)` into one `u128`, preserving lexicographic
-/// order: biased delta in bits 127..80 (48 bits), alloc in bits 79..32
-/// (48 bits), op id in bits 31..0. Exact whenever the total size table sums
-/// below [`PACK_BIAS`] bytes, which bounds both `|delta|` and `alloc`.
-fn pack_key(delta: i128, alloc: u64, id: u32) -> u128 {
-    debug_assert!((-(PACK_BIAS as i128)..PACK_BIAS as i128).contains(&delta));
-    debug_assert!(alloc < PACK_BIAS);
-    (((delta + PACK_BIAS as i128) as u128) << 80) | ((alloc as u128) << 32) | id as u128
-}
-
-/// [`greedy_schedule`]'s incremental path with single-`u128` keys.
-///
-/// Same selection order as the tuple path — `pack_key` is a strictly
-/// monotone encoding of `(delta, alloc_bytes, id)` under the caller-checked
-/// size bound — but heap sift compares are one wide integer compare instead
-/// of a three-field tuple walk, and the delta patch for a toggled dying
-/// tensor is a single wrapping add into the top field (the lower fields are
-/// untouched because the addend's low 80 bits are zero).
-fn greedy_schedule_packed(plan: &FootprintPlan, sim: &mut PlanSim<'_>) -> Vec<OpId> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
-
-    /// `cur_key` sentinel for "not ready": unreachable as a packed key
-    /// because the alloc field can never be all-ones under the size bound.
-    const NOT_READY: u128 = u128::MAX;
-
-    let n_ops = plan.ops();
-    let mut deps: Vec<u32> = plan.init_deps.clone();
-    let mut dying: Vec<bool> = (0..plan.tensors())
-        .map(|i| sim.refcount[i] == 1 && sim.live[i] && !plan.persistent[i])
-        .collect();
-    let mut ready: BinaryHeap<Reverse<u128>> = BinaryHeap::with_capacity(n_ops);
-    let mut cur_key: Vec<u128> = vec![NOT_READY; n_ops];
-    for op in 0..n_ops {
-        if deps[op] == 0 {
-            let k = pack_key(sim.delta(op), sim.alloc_bytes(op), op as u32);
-            ready.push(Reverse(k));
-            cur_key[op] = k;
-        }
-    }
-    let mut schedule = Vec::with_capacity(n_ops);
-
-    while let Some(Reverse(k)) = ready.pop() {
-        let op = (k & u32::MAX as u128) as usize;
-        if cur_key[op] != k {
-            continue; // stale entry superseded by a key refresh
-        }
-        cur_key[op] = NOT_READY;
-        sim.run(op);
-        schedule.push(OpId(op as u32));
-        for &t in plan.inputs(op).iter().chain(plan.outputs(op)) {
-            let ti = t as usize;
-            if plan.persistent[ti] {
-                continue;
-            }
-            let now = sim.refcount[ti] == 1 && sim.live[ti];
-            if now == dying[ti] {
-                continue;
-            }
-            dying[ti] = now;
-            let ds = if now {
-                -(sim.size[ti] as i128)
-            } else {
-                sim.size[ti] as i128
-            };
-            let patch = (ds << 80) as u128;
-            for &c in plan.consumers(ti) {
-                let ci = c as usize;
-                if cur_key[ci] != NOT_READY {
-                    let new = cur_key[ci].wrapping_add(patch);
-                    ready.push(Reverse(new));
-                    cur_key[ci] = new;
-                }
-            }
-        }
-        for &out in plan.outputs(op) {
-            for &c in plan.consumers(out as usize) {
-                let ci = c as usize;
-                deps[ci] -= 1;
-                if deps[ci] == 0 {
-                    let k = pack_key(sim.delta(ci), sim.alloc_bytes(ci), c);
-                    ready.push(Reverse(k));
+                    let k = key(sim, ci);
+                    push(&mut ready, &mut top_dead, k);
                     cur_key[ci] = k;
                 }
             }
         }
+        if top_dead {
+            ready.pop();
+        }
     }
     assert_eq!(
-        schedule.len(),
-        n_ops,
+        ran, n_ops,
         "greedy scheduler failed to schedule every op (cycle?)"
     );
-    schedule
+    true
 }
 
 /// The original greedy loop: full rescan of the ready list per step.
@@ -1177,6 +1201,100 @@ mod tests {
         let reference = greedy_schedule_reference(&g, &mut sim);
         assert_eq!(fast.schedule, reference);
         assert_eq!(fast.peak_bytes, sim.peak);
+    }
+
+    /// Two branches joined at the end, the wide one built first: `c = x2·w2`
+    /// (100 floats) narrowed to `d = c·w3` (5 floats), then `a = x1·w1`
+    /// (`x1` is `k` floats, `a` 5) which `join` adds to `d`. Greedy runs the
+    /// cheap `a` first and holds it through `c` and `d`, where program order
+    /// still holds only `x1`. With `k = 1` that costs greedy 4 floats at the
+    /// peak and program order wins; with `k = 5` the two hold the same bytes,
+    /// so the peaks tie under different schedules.
+    fn held_branch_graph(k: u64) -> Graph {
+        let mut g = Graph::new("held_branch");
+        let x2 = g
+            .input("x2", [Expr::int(1), Expr::int(1)], DType::F32)
+            .unwrap();
+        let w2 = g.weight("w2", [Expr::int(1), Expr::int(100)]).unwrap();
+        let c = g.matmul("c", x2, w2, false, false).unwrap();
+        let w3 = g.weight("w3", [Expr::int(100), Expr::int(5)]).unwrap();
+        let d = g.matmul("d", c, w3, false, false).unwrap();
+        let x1 = g
+            .input("x1", [Expr::int(1), Expr::from(k)], DType::F32)
+            .unwrap();
+        let w1 = g.weight("w1", [Expr::from(k), Expr::int(5)]).unwrap();
+        let a = g.matmul("a", x1, w1, false, false).unwrap();
+        let _join = g.binary("join", PointwiseFn::Add, a, d).unwrap();
+        g
+    }
+
+    #[test]
+    fn peak_pass_cuts_greedy_off_when_program_order_wins() {
+        let g = held_branch_graph(1);
+        let bind = Bindings::new();
+        let po = footprint_reference(&g, &bind, Scheduler::ProgramOrder).unwrap();
+        let gr = footprint_reference(&g, &bind, Scheduler::GreedyMinPeak).unwrap();
+        assert_eq!(gr.peak_bytes, po.peak_bytes + 4 * 4);
+        let plan = FootprintPlan::new(&g);
+        let sizes = tensor_sizes(&g, &bind).unwrap();
+        // Greedy stops at the first op that lifts its peak past program
+        // order's, before every op has run.
+        let mut sim = PlanSim::new(&plan, &sizes, InPlacePolicy::Never);
+        let mut ran = Vec::new();
+        assert!(!greedy_traversal(
+            &plan,
+            &mut sim,
+            Some(&mut ran),
+            po.peak_bytes
+        ));
+        assert!(ran.len() < plan.ops());
+        assert_eq!(ran, gr.schedule[..ran.len()]);
+        assert_eq!(footprint_peak(&plan, &sizes), po.peak_bytes);
+        let best = footprint_with_plan(&plan, &sizes, Scheduler::Best, InPlacePolicy::Never);
+        assert_eq!(best.peak_bytes, po.peak_bytes);
+        assert_eq!(best.schedule, po.schedule);
+    }
+
+    #[test]
+    fn peak_pass_runs_greedy_to_the_end_on_a_tie() {
+        let g = held_branch_graph(5);
+        let bind = Bindings::new();
+        let po = footprint_reference(&g, &bind, Scheduler::ProgramOrder).unwrap();
+        let gr = footprint_reference(&g, &bind, Scheduler::GreedyMinPeak).unwrap();
+        assert_eq!(gr.peak_bytes, po.peak_bytes);
+        assert_ne!(gr.schedule, po.schedule);
+        let plan = FootprintPlan::new(&g);
+        let sizes = tensor_sizes(&g, &bind).unwrap();
+        // Reaching the cut-off is not passing it: greedy completes.
+        let mut sim = PlanSim::new(&plan, &sizes, InPlacePolicy::Never);
+        assert!(greedy_traversal(&plan, &mut sim, None, po.peak_bytes));
+        assert_eq!(footprint_peak(&plan, &sizes), po.peak_bytes);
+        // `Best` keeps greedy on a tie.
+        let best = footprint_with_plan(&plan, &sizes, Scheduler::Best, InPlacePolicy::Never);
+        assert_eq!(best.schedule, gr.schedule);
+    }
+
+    #[test]
+    fn huge_sizes_take_tuple_keys_in_the_peak_pass_and_match_reference() {
+        // Sizes past the packed-key bound: the peak pass must take the
+        // tuple-key path, cut-off included, and still match the reference.
+        for g in [equivalence_graph(), held_branch_graph(1)] {
+            let bind = Bindings::new().with("eq_b", 16.0);
+            let huge: Vec<u64> = tensor_sizes(&g, &bind)
+                .unwrap()
+                .iter()
+                .map(|s| s << 36)
+                .collect();
+            assert!(huge.iter().map(|&s| s as u128).sum::<u128>() >= 1 << 47);
+            let mut po = Sim::with_sizes(&g, huge.clone(), InPlacePolicy::Never);
+            for op in g.ops() {
+                po.run(op.id());
+            }
+            let mut gr = Sim::with_sizes(&g, huge.clone(), InPlacePolicy::Never);
+            greedy_schedule_reference(&g, &mut gr);
+            let plan = FootprintPlan::new(&g);
+            assert_eq!(footprint_peak(&plan, &huge), po.peak.min(gr.peak));
+        }
     }
 
     #[test]

@@ -52,8 +52,8 @@ pub use autodiff::{build_training_step, TrainingStep};
 pub use export::OpCensus;
 pub use fold::{fold_classes, FoldClass, FoldReport};
 pub use footprint::{
-    footprint, footprint_reference, footprint_with, footprint_with_plan, footprint_with_sizes,
-    tensor_sizes, FootprintPlan, FootprintReport, InPlacePolicy, Scheduler,
+    footprint, footprint_peak, footprint_reference, footprint_with, footprint_with_plan,
+    footprint_with_sizes, tensor_sizes, FootprintPlan, FootprintReport, InPlacePolicy, Scheduler,
 };
 pub use graph::{Graph, GraphError};
 pub use op::{

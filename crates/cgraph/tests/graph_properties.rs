@@ -2,7 +2,10 @@
 //! autodiff, cost-model, and footprint invariants that must hold for *any*
 //! well-formed DAG, not just the model zoo's.
 
-use cgraph::{build_training_step, footprint, DType, Graph, PointwiseFn, Scheduler, TensorId};
+use cgraph::{
+    build_training_step, footprint, footprint_peak, footprint_reference, tensor_sizes, DType,
+    FootprintPlan, Graph, PointwiseFn, Scheduler, TensorId,
+};
 use proptest::prelude::*;
 use symath::{Bindings, Expr};
 
@@ -35,6 +38,19 @@ fn pointwise_of(i: u8) -> PointwiseFn {
 
 /// Build a random feed-forward graph ending in a cross-entropy loss.
 fn build_random_graph(layers: &[LayerChoice], in_width: u64) -> (Graph, TensorId) {
+    build_random_graph_with_side(layers, in_width, None)
+}
+
+/// [`build_random_graph`], optionally with a side branch built after the
+/// layers and added in just before the loss: `side·proj`, two inputs of
+/// inner width `k`. Program order runs it last; greedy may run it first and
+/// hold its full-width output through the whole chain, which is what lets
+/// program order win on some of these graphs.
+fn build_random_graph_with_side(
+    layers: &[LayerChoice],
+    in_width: u64,
+    side: Option<u64>,
+) -> (Graph, TensorId) {
     let mut g = Graph::new("prop_graph");
     let b = Expr::sym("prop_b");
     let mut t = g
@@ -93,6 +109,18 @@ fn build_random_graph(layers: &[LayerChoice], in_width: u64) -> (Graph, TensorId
                     .expect("cat");
             }
         }
+    }
+    if let Some(k) = side {
+        let s = g
+            .input("side", [b.clone(), Expr::from(k)], DType::F32)
+            .expect("side");
+        let proj = g
+            .input("side_proj", [Expr::from(k), Expr::from(width)], DType::F32)
+            .expect("side_proj");
+        let p = g.matmul("side_mm", s, proj, false, false).expect("mm");
+        t = g
+            .binary("side_add", PointwiseFn::Add, t, p)
+            .expect("side add");
     }
     let labels = g.input("labels", [b], DType::I32).expect("labels");
     let loss = g.cross_entropy("loss", t, labels).expect("loss");
@@ -180,6 +208,30 @@ proptest! {
             .max()
             .unwrap_or(0);
         prop_assert!(best.peak_bytes >= largest);
+    }
+
+    /// The peak-only `Best` pass (shared set-up, greedy cut-off at the
+    /// program-order peak) equals the full graph-walking `Best` simulation.
+    /// Forward-only graphs with a side branch are where program order wins
+    /// and the cut-off fires; training graphs mostly tie or go to greedy.
+    #[test]
+    fn footprint_peak_matches_reference(
+        layers in prop::collection::vec(arb_layer(), 1..10),
+        in_width in (4u64..32).prop_map(|w| w * 2),
+        side in 0u64..8,
+        train in proptest::bool::ANY,
+        batch in 1u64..64,
+    ) {
+        // Side width 0 means no side branch.
+        let side = (side > 0).then_some(side);
+        let (mut g, loss) = build_random_graph_with_side(&layers, in_width, side);
+        if train {
+            build_training_step(&mut g, loss).expect("diff");
+        }
+        let b = Bindings::new().with("prop_b", batch as f64);
+        let sizes = tensor_sizes(&g, &b).expect("bound");
+        let reference = footprint_reference(&g, &b, Scheduler::Best).expect("bound");
+        prop_assert_eq!(footprint_peak(&FootprintPlan::new(&g), &sizes), reference.peak_bytes);
     }
 
     /// Costs are affine in the batch symbol for these feed-forward graphs.

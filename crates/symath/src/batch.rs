@@ -644,7 +644,17 @@ mod tests {
         exprs.iter().map(|e| e.interned()).collect()
     }
 
+    /// Held by every test here that evaluates a grid: the eval counters are
+    /// process-wide, and `counters_advance_on_compile_and_eval` asserts their
+    /// exact advance, which a grid evaluated on another test thread between
+    /// its two reads would break.
+    fn grid_eval_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     fn assert_grid_matches_tree(roots: &[Expr], points: &[Bindings]) {
+        let _guard = grid_eval_lock();
         let prog = BatchProgram::compile(&ids(roots));
         let grid = prog.eval_grid(points).expect("nonempty grid");
         for (r, e) in roots.iter().enumerate() {
@@ -692,6 +702,7 @@ mod tests {
 
     #[test]
     fn duplicate_roots_share_a_result_register() {
+        let _guard = grid_eval_lock();
         let e = Expr::sym("bt_d") * Expr::int(3);
         let prog = BatchProgram::compile(&ids(&[e.clone(), e.clone()]));
         assert_eq!(prog.roots(), 2);
@@ -717,6 +728,7 @@ mod tests {
 
     #[test]
     fn empty_grid_is_a_structured_error() {
+        let _guard = grid_eval_lock();
         let e = Expr::sym("bt_e") + Expr::int(1);
         let prog = BatchProgram::compile(&ids(&[e]));
         assert_eq!(prog.eval_grid(&[]), Err(BatchError::EmptyGrid));
@@ -725,6 +737,7 @@ mod tests {
 
     #[test]
     fn one_point_grid_degenerates_to_per_point_eval() {
+        let _guard = grid_eval_lock();
         let e = Expr::max(vec![Expr::sym("bt_one"), Expr::int(4)]) * Expr::rat(7, 2);
         let b = Bindings::new().with("bt_one", 9.5);
         let prog = BatchProgram::compile(&ids(std::slice::from_ref(&e)));
@@ -737,6 +750,7 @@ mod tests {
 
     #[test]
     fn fractional_powers_match_stack_vm_bitwise() {
+        let _guard = grid_eval_lock();
         let p = Expr::sym("bt_p");
         let e = p.pow(Rat::HALF) * Expr::int(5) + (p.clone() + Expr::int(1)).recip();
         let id = e.interned();
@@ -751,6 +765,7 @@ mod tests {
 
     #[test]
     fn counters_advance_on_compile_and_eval() {
+        let _guard = grid_eval_lock();
         let before = batch_stats();
         let e = Expr::sym("bt_ctr") + Expr::int(41);
         let prog = BatchProgram::compile(&ids(&[e]));
