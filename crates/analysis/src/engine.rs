@@ -19,17 +19,15 @@
 //! Everything symbolic is held as hash-consed [`ExprId`]s: family stats and
 //! element counts are [`InternedGraphStats`] / id vectors, and substitution
 //! goes through the `symath` bind memo (one exact substitution per distinct
-//! `(expression, width)` pair process-wide). Evaluation of a batch
-//! ([`FamilyEngine::characterize_many`]) runs one batched register-VM grid
-//! ([`batch_program`]) per instance over all of its subbatches; a single
-//! point ([`FamilyEngine::characterize`]) runs the per-id compiled stack
-//! programs.
+//! `(expression, width)` pair process-wide). Each instance is priced by one
+//! batched register-VM grid ([`batch_program`]) over all of its subbatches;
+//! a single point ([`FamilyEngine::characterize`]) is a one-row grid.
 //!
 //! Every number produced this way is **bit-identical** to
 //! [`characterize`](crate::characterize): substitution commutes with the
 //! builders' ring operations on widths, so step 2 reproduces the concrete
-//! build's canonical expressions; both compiled evaluators replay the tree
-//! evaluator's exact f64 operation order; and the footprint simulation sees
+//! build's canonical expressions; the batch VM replays the tree evaluator's
+//! exact f64 operation order; and the footprint simulation sees
 //! the same graph structure and the same byte sizes. The golden equivalence
 //! suite (`tests/golden_sweep.rs`) asserts this with `==` on every field.
 //!
@@ -189,39 +187,16 @@ impl FamilyEngine {
     }
 
     /// Symbolic counterpart of [`crate::characterize`]: the same
-    /// [`CharacterizationPoint`], bit-for-bit, from the cached closed forms.
+    /// [`CharacterizationPoint`], bit-for-bit, from the cached closed forms,
+    /// priced as a one-row grid.
     pub fn characterize(&self, cfg: &ModelConfig, subbatch: u64) -> CharacterizationPoint {
         let _span = obs::span("analysis.characterize_symbolic")
             .with_arg("domain", cfg.domain().key())
             .with_arg("subbatch", subbatch);
         let inst = self.instance(cfg);
-        let bindings = Bindings::new().with(BATCH_SYM, subbatch as f64);
-        let n = inst.stats.eval(&bindings).expect("all symbols bound");
-        // Mirrors `cgraph::tensor_sizes` exactly: per-tensor rounded element
-        // count times the element size, with each distinct element
-        // expression evaluated once.
-        let uniq: Vec<u64> = inst
-            .uniq_elems
-            .iter()
-            .map(|e| e.eval_u64(&bindings).expect("all symbols bound"))
-            .collect();
-        let sizes: Vec<u64> = inst
-            .family
-            .elem_slot
-            .iter()
-            .map(|&(slot, db)| uniq[slot as usize] * db)
-            .collect();
-        let footprint = footprint_peak(&inst.family.plan, &sizes);
-        CharacterizationPoint {
-            params: n.params,
-            subbatch,
-            flops_per_step: n.flops,
-            flops_per_sample: n.flops / subbatch as f64,
-            bytes_per_step: n.bytes,
-            op_intensity: n.flops / n.bytes,
-            footprint_bytes: footprint as f64,
-            seq_len: inst.family.model.seq_len,
-        }
+        FamilyEngine::characterize_instance(&inst, &[subbatch])
+            .pop()
+            .expect("one row in, one point out")
     }
 
     /// Price one instance at several subbatch sizes through the batched
@@ -230,15 +205,12 @@ impl FamilyEngine {
     /// sub-expressions computed once per point, not once per root), then one
     /// footprint simulation per point against the cached family plan.
     ///
-    /// Bit-identical to calling [`characterize`](FamilyEngine::characterize)
-    /// per subbatch: the batched VM replays each root's stack program
-    /// per-point in the same f64 operation order, and the element rounding
-    /// below mirrors [`ExprId::eval_u64`].
-    fn characterize_instance(
-        &self,
-        inst: &Instance,
-        subbatches: &[u64],
-    ) -> Vec<CharacterizationPoint> {
+    /// Bit-identical to [`crate::characterize`] per subbatch: the batched VM
+    /// replays the tree walk per point in the same f64 operation order, and
+    /// the per-tensor sizes mirror `cgraph::tensor_sizes` exactly (rounded
+    /// element count times the element size, each distinct element
+    /// expression evaluated once).
+    fn characterize_instance(inst: &Instance, subbatches: &[u64]) -> Vec<CharacterizationPoint> {
         if subbatches.is_empty() {
             return Vec::new();
         }
@@ -296,12 +268,10 @@ impl FamilyEngine {
 
     /// Characterize a batch of `(configuration, subbatch)` points. Jobs that
     /// share a configuration are grouped onto one instance and priced in a
-    /// single batched-VM grid evaluation ([`characterize_instance`]); groups
-    /// run on the rayon pool. Output order matches input order, so results
-    /// are deterministic — and bit-identical to calling
-    /// [`characterize`](FamilyEngine::characterize) per job.
-    ///
-    /// [`characterize_instance`]: FamilyEngine::characterize_instance
+    /// single batched-VM grid evaluation; groups run on the rayon pool.
+    /// Output order matches input order, so results are deterministic — and
+    /// bit-identical to calling [`characterize`](FamilyEngine::characterize)
+    /// per job.
     pub fn characterize_many(&self, jobs: &[(ModelConfig, u64)]) -> Vec<CharacterizationPoint> {
         // One instance plus its (input index, subbatch) rows.
         type Group = (Arc<Instance>, Vec<(usize, u64)>);
@@ -331,7 +301,7 @@ impl FamilyEngine {
                 let subbatches: Vec<u64> = rows.iter().map(|&(_, b)| b).collect();
                 rows.iter()
                     .map(|&(i, _)| i)
-                    .zip(self.characterize_instance(inst, &subbatches))
+                    .zip(FamilyEngine::characterize_instance(inst, &subbatches))
                     .collect()
             })
             .collect();

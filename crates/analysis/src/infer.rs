@@ -18,7 +18,8 @@
 //! MLP width, tying) with batch, context length, prompt length, head count,
 //! and head dimension left free; per request, the width symbols are
 //! substituted **exactly** (`bind_all`, memoized) and the closed forms are
-//! evaluated per batch via the compiled stack programs. Every number is
+//! evaluated across batches as one batched register-VM grid (a single
+//! point is a one-row grid). Every number is
 //! **bit-identical** to the brute-force path ([`characterize_infer`]) that
 //! rebuilds concrete graphs per point — the builders combine dimensions with
 //! ring operations only, so substitution commutes with building.
@@ -27,7 +28,7 @@
 //! `2 · layers · b · ctx · heads · head_dim · dtype_bytes`
 //! ([`kv_cache_expr`]) in exactly the four request symbols, so KV memory
 //! sweeps for free alongside the graph stats: one `bind_all` per distinct
-//! `(ctx, heads, head_dim)`, one compiled eval per batch.
+//! `(ctx, heads, head_dim)`, one grid column per batch.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -131,7 +132,7 @@ pub fn kv_cache_expr(layers: u64) -> Expr {
 }
 
 /// Interned form of [`kv_cache_expr`] — the id the engine caches and
-/// compiled-evals per sweep point.
+/// evaluates per sweep point.
 pub fn kv_cache_id(layers: u64) -> ExprId {
     kv_cache_expr(layers).interned()
 }
@@ -290,7 +291,8 @@ impl InferEngine {
     }
 
     /// Symbolic counterpart of [`characterize_infer`]: the same
-    /// [`InferPoint`], bit-for-bit, from the cached closed forms.
+    /// [`InferPoint`], bit-for-bit, from the cached closed forms, priced as
+    /// a one-row grid.
     pub fn characterize(
         &self,
         cfg: &InferConfig,
@@ -302,33 +304,18 @@ impl InferEngine {
             .with_arg("batch", infer_batch)
             .with_arg("context", context);
         let inst = self.instance(cfg, prompt, context);
-        let bindings = Bindings::new().with(BATCH_SYM, infer_batch as f64);
-        let prefill = inst.prefill.eval(&bindings).expect("all symbols bound");
-        let decode = inst.decode.eval(&bindings).expect("all symbols bound");
-        let kv = inst.kv.eval(&bindings).expect("all symbols bound");
-        InferPoint {
-            batch: infer_batch,
-            prompt,
-            context,
-            params: decode.params,
-            weight_bytes: 4.0 * decode.params,
-            kv_cache_bytes: kv,
-            prefill_flops: prefill.flops,
-            prefill_bytes: prefill.bytes,
-            prefill_intensity: prefill.operational_intensity(),
-            decode_flops: decode.flops,
-            decode_bytes: decode.bytes,
-            decode_intensity: decode.operational_intensity(),
-        }
+        InferEngine::characterize_instance(&inst, prompt, context, &[infer_batch])
+            .pop()
+            .expect("one row in, one point out")
     }
 
     /// Price one instance at several batch sizes through the batched
     /// register VM: the six closed forms an [`InferPoint`] reads evaluate
     /// across all batches in one grid pass. Bit-identical to
-    /// [`characterize`](InferEngine::characterize) per batch — same per-root
-    /// f64 operation order, and the intensity ratios divide the same values.
+    /// [`characterize_infer`] per batch — the batch VM replays the tree
+    /// walk's f64 operation order, and the intensity ratios divide the same
+    /// values.
     fn characterize_instance(
-        &self,
         inst: &InferInstance,
         prompt: u64,
         context: u64,
@@ -382,12 +369,9 @@ impl InferEngine {
 
     /// Characterize a `(batch, context)` grid at one prompt length. Rows
     /// sharing a context share an instance and are priced in one batched-VM
-    /// pass ([`characterize_instance`]); contexts run on the rayon pool.
-    /// Output order matches input order, so results are deterministic — and
-    /// bit-identical to calling [`characterize`](InferEngine::characterize)
-    /// per row.
-    ///
-    /// [`characterize_instance`]: InferEngine::characterize_instance
+    /// pass; contexts run on the rayon pool. Output order matches input
+    /// order, so results are deterministic — and bit-identical to calling
+    /// [`characterize`](InferEngine::characterize) per row.
     pub fn characterize_grid(
         &self,
         cfg: &InferConfig,
@@ -416,7 +400,9 @@ impl InferEngine {
                 let batches: Vec<u64> = rows.iter().map(|&(_, b)| b).collect();
                 rows.iter()
                     .map(|&(i, _)| i)
-                    .zip(self.characterize_instance(&inst, prompt, *ctx, &batches))
+                    .zip(InferEngine::characterize_instance(
+                        &inst, prompt, *ctx, &batches,
+                    ))
                     .collect()
             })
             .collect();
@@ -475,7 +461,7 @@ pub fn characterize_infer(
         .expect("bound");
     // Direct product, no symbolics: every factor and every partial product
     // is an integer far below 2^53, so this is exact — and therefore
-    // bit-identical to the engine's compiled evaluation of the interned
+    // bit-identical to the engine's batch-VM evaluation of the interned
     // KV expression (which computes the same integer).
     let kv = 2.0
         * cfg.layers as f64

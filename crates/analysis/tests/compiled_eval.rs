@@ -2,7 +2,8 @@
 //! expression reachable from the five Figure 7–10 model families.
 //!
 //! The sweep engine answers characterization queries through `symath`'s
-//! compiled stack programs ([`symath::ExprId::eval`]). This suite pins the
+//! batched register VM, the only compiled evaluator; a single point
+//! ([`symath::ExprId::eval`]) is a one-wide grid. This suite pins the
 //! whole reachable expression surface — the nine [`cgraph`] stats totals,
 //! their width-bound instances, and every tensor's element count — to the
 //! reference tree evaluator, comparing `f64::to_bits` so a drift of even one

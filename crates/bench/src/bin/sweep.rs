@@ -16,7 +16,7 @@
 //!   (today's [`analysis::characterize`]);
 //! * **symbolic** — one width-symbolic family build per domain via a cold
 //!   [`analysis::FamilyEngine`], then exact substitution per point with
-//!   per-point stack-VM evaluation;
+//!   point-at-a-time evaluation (a one-row batch-VM grid per point);
 //! * **batched** — re-price the whole grid on the now-warm engine through
 //!   [`FamilyEngine::characterize_many`]: closed forms evaluated by the
 //!   batched register VM, footprints priced against the cached family

@@ -5,7 +5,7 @@
 //! the derived operational intensity. Everything is symbolic; bind a
 //! [`symath::Bindings`] to obtain numbers.
 
-use symath::{Bindings, Expr, ExprId, UnboundSymbol};
+use symath::{batch_program, Bindings, Expr, ExprId, UnboundSymbol};
 
 use crate::graph::Graph;
 use crate::op::{op_bytes, op_flops, Op, Phase};
@@ -163,16 +163,27 @@ impl InternedForwardStats {
         }
     }
 
-    /// Evaluate all quantities via the compiled programs. Bit-identical to
-    /// [`ForwardStats::eval`] on the viewed expressions.
+    /// Evaluate all quantities as one batch program over a one-wide grid.
+    /// Bit-identical to [`ForwardStats::eval`] on the viewed expressions.
     pub fn eval(&self, bindings: &Bindings) -> Result<NumericForwardStats, UnboundSymbol> {
+        let [flops, bytes, bytes_read, bytes_written, params, io] = eval_point(
+            [
+                self.flops,
+                self.bytes,
+                self.bytes_read,
+                self.bytes_written,
+                self.params,
+                self.io,
+            ],
+            bindings,
+        )?;
         Ok(NumericForwardStats {
-            flops: self.flops.eval(bindings)?,
-            bytes: self.bytes.eval(bindings)?,
-            bytes_read: self.bytes_read.eval(bindings)?,
-            bytes_written: self.bytes_written.eval(bindings)?,
-            params: self.params.eval(bindings)?,
-            io: self.io.eval(bindings)?,
+            flops,
+            bytes,
+            bytes_read,
+            bytes_written,
+            params,
+            io,
         })
     }
 }
@@ -202,7 +213,7 @@ impl NumericForwardStats {
 }
 
 /// [`GraphStats`] with every quantity as a hash-consed [`ExprId`]: cheap to
-/// clone and compare, with memoized substitution ([`bind_all`]) and compiled
+/// clone and compare, with memoized substitution ([`bind_all`]) and batch-VM
 /// evaluation ([`eval`]) that is bit-identical to the tree walk. This is the
 /// representation the sweep engine caches per model family.
 ///
@@ -266,19 +277,34 @@ impl InternedGraphStats {
         self.map(|e| e.bind_all(bindings))
     }
 
-    /// Evaluate all quantities via the compiled programs. Bit-identical to
-    /// [`GraphStats::eval`] on the viewed expressions.
+    /// Evaluate all quantities as one batch program over a one-wide grid.
+    /// Bit-identical to [`GraphStats::eval`] on the viewed expressions.
     pub fn eval(&self, bindings: &Bindings) -> Result<NumericStats, UnboundSymbol> {
+        let [flops, flops_forward, flops_backward, flops_update, bytes, bytes_read, bytes_written, params, io] =
+            eval_point(
+                [
+                    self.flops,
+                    self.flops_forward,
+                    self.flops_backward,
+                    self.flops_update,
+                    self.bytes,
+                    self.bytes_read,
+                    self.bytes_written,
+                    self.params,
+                    self.io,
+                ],
+                bindings,
+            )?;
         Ok(NumericStats {
-            flops: self.flops.eval(bindings)?,
-            flops_forward: self.flops_forward.eval(bindings)?,
-            flops_backward: self.flops_backward.eval(bindings)?,
-            flops_update: self.flops_update.eval(bindings)?,
-            bytes: self.bytes.eval(bindings)?,
-            bytes_read: self.bytes_read.eval(bindings)?,
-            bytes_written: self.bytes_written.eval(bindings)?,
-            params: self.params.eval(bindings)?,
-            io: self.io.eval(bindings)?,
+            flops,
+            flops_forward,
+            flops_backward,
+            flops_update,
+            bytes,
+            bytes_read,
+            bytes_written,
+            params,
+            io,
         })
     }
 
@@ -298,6 +324,23 @@ impl InternedGraphStats {
             io: self.io,
         })
     }
+}
+
+/// Price `roots` at one point as a one-wide grid of their batch program.
+/// Like `?` over the fields in order, the first root that fails names the
+/// error.
+fn eval_point<const N: usize>(
+    roots: [ExprId; N],
+    bindings: &Bindings,
+) -> Result<[f64; N], UnboundSymbol> {
+    let grid = batch_program(&roots)
+        .eval_grid(std::slice::from_ref(bindings))
+        .expect("a one-wide grid is not empty");
+    let mut out = [0.0; N];
+    for (v, col) in out.iter_mut().zip(grid) {
+        *v = col[0].clone()?;
+    }
+    Ok(out)
 }
 
 /// Numeric cost summary (see [`GraphStats`]).

@@ -256,7 +256,7 @@ pub fn build_resnet(cfg: &ResNetConfig) -> ModelGraph {
 
 /// Build the forward graph with the stem width given as an expression
 /// (possibly a free symbol). Channel counts are `width` times a constant
-/// (`w·2^gi`, `·expansion`), so the `u64` shifts of [`conv_plan`] map onto
+/// (`w·2^gi`, `·expansion`), so the `u64` shifts of `conv_plan` map onto
 /// exact ring products here; see [`build_word_lm_dims`] for the shared
 /// exactness contract.
 ///

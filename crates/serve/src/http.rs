@@ -3,7 +3,7 @@
 //! Only what the query API needs: `GET`/`HEAD`, a path + query target, and
 //! the connection-management headers (`connection`, `content-length`,
 //! `transfer-encoding`). There are **no blocking socket reads here** — the
-//! epoll reactor ([`crate::reactor`]) accumulates whatever bytes a
+//! epoll reactor (the `reactor` module) accumulates whatever bytes a
 //! non-blocking read yielded into a per-connection buffer and feeds it to
 //! [`parse_head`], which either asks for more bytes ([`Feed::Incomplete`]),
 //! returns a complete head plus how many buffer bytes it consumed (so

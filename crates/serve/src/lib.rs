@@ -18,7 +18,7 @@
 //! ```
 //!
 //! Everything is `std`-only: hand-rolled HTTP, JSON, histogram, LRU, and
-//! raw-FFI epoll (see [`reactor`]). See `DESIGN.md` § "Event-driven serve
+//! raw-FFI epoll (see the `reactor` module). See `DESIGN.md` § "Event-driven serve
 //! tier" for the connection state machine and the bytes-cache layering,
 //! § "Serving layer" for cache keying and shutdown semantics, and
 //! § "Telemetry plane" for the metric registry, the request-scoped trace
@@ -398,11 +398,6 @@ fn register_external_series(state: &Arc<AppState>) {
         "frontier_symath_memo_entries",
         "Entries across the add/mul/pow/bind operation memo tables.",
         || symath::intern_stats().memo_entries as f64,
-    );
-    r.counter_fn(
-        "frontier_symath_programs_compiled_total",
-        "Expression programs compiled for evaluation.",
-        || symath::intern_stats().programs_compiled,
     );
     r.counter_fn(
         "frontier_symath_batch_programs_compiled_total",

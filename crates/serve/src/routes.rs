@@ -1176,7 +1176,6 @@ fn metrics_route(
                 .set("memo_misses", interner.memo_misses)
                 .set("memo_hit_rate", interner.memo_hit_rate())
                 .set("memo_entries", interner.memo_entries)
-                .set("programs_compiled", interner.programs_compiled)
                 .set("batch_programs", interner.batch_programs),
         )
         .set(

@@ -1,27 +1,35 @@
-//! Depth-batched register-VM evaluation: one compiled program, many grid
-//! points, structure-of-arrays.
+//! Depth-batched register-VM evaluation: one compiled program, any number
+//! of grid points, structure-of-arrays.
 //!
-//! The per-point stack machine ([`Program`](crate::compile::Program))
-//! replays the tree evaluator's
-//! exact `f64` operation order for *one* binding set. Sweep grids evaluate
-//! the same handful of expressions at hundreds of points, so the replay cost
-//! is paid per point: instruction dispatch, slot resolution, and the stack
-//! shuffle all scale with `points × instructions`. A [`BatchProgram`]
-//! instead compiles a whole *set* of root expressions once into a single
-//! register program and runs each opcode as a tight loop over the point
-//! axis: every register is a flat `Vec<f64>` column of length `points`, so
-//! dispatch is paid once per instruction and the inner loops are plain
-//! slice arithmetic the compiler can vectorize.
+//! This is the crate's only compiled evaluator. Sweep grids evaluate the
+//! same handful of expressions at hundreds of points, and a single point is
+//! just a one-wide grid ([`ExprId::eval`](crate::ExprId::eval) is the first
+//! cell of one). A [`BatchProgram`] compiles a whole *set* of root
+//! expressions once into a single register program and runs each opcode as
+//! a tight loop over the point axis: every register is a flat `Vec<f64>`
+//! column of length `points`, so dispatch is paid once per instruction and
+//! the inner loops are plain slice arithmetic the compiler can vectorize.
 //!
 //! # Register discipline
 //!
-//! The builder walks each canonical expression exactly like the stack
-//! compiler ([`crate::compile`]), but maps every stack position to a
-//! register: a push at depth `d` becomes a write to register `d`, and a
-//! binary stack op at depth `d` becomes `reg[d-1] ∘= reg[d]`. The operation
-//! sequence *per point* is therefore identical to the stack machine's —
-//! which is identical to the tree walk's — so results are **bit-identical**
-//! (IEEE-754 arithmetic is deterministic).
+//! The builder walks each canonical expression in the tree evaluator's
+//! order ([`Expr::eval`]) as if it ran on a value stack, and maps every
+//! stack position to a register: a push at depth `d` becomes a write to
+//! register `d`, and a binary stack op at depth `d` becomes
+//! `reg[d-1] ∘= reg[d]`. The mapping mirrors `Expr::eval` statement by
+//! statement:
+//!
+//! * an expression starts `total = 0.0` → `Splat(0.0)`, and each term ends
+//!   with `total += val` → `Add`;
+//! * a term starts `val = coeff` → `Splat(coeff)` and each factor performs
+//!   `val *= base.powf(e)` → *atom code* (writes `base`) then `PowMul(e)`;
+//! * `max` folds from `NEG_INFINITY` → `Splat(NEG_INFINITY)` then per
+//!   argument *expr code* + `Max` (symmetrically `min` from `INFINITY`);
+//! * `ceil` rounds the top register in place.
+//!
+//! The operation sequence *per point* is therefore identical to the tree
+//! walk's, so results are **bit-identical** (IEEE-754 arithmetic is
+//! deterministic).
 //!
 //! # Cross-expression CSE
 //!
@@ -44,9 +52,7 @@
 //! computed anyway (every opcode is pointwise across the point axis, so a
 //! masked point can never contaminate a bound one), and each affected
 //! result is overwritten with the error naming the first unbound symbol in
-//! that root's own slot order (taken from its per-point
-//! [`Program`](crate::compile::Program), whose
-//! slot order equals the tree walk's encounter order).
+//! that root's own tree-walk encounter order (see `encounter_order`).
 //!
 //! [`Copy`]: BatchInstr::Copy
 
@@ -60,8 +66,8 @@ use crate::intern::ExprId;
 use crate::symbol::Symbol;
 
 /// One register-VM operation. `dst`/`src` index register columns; every
-/// arithmetic variant applies the stack machine's operation pointwise
-/// across the point axis.
+/// arithmetic variant applies the tree walk's operation pointwise across
+/// the point axis.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum BatchInstr {
     /// `reg[dst][·] = val` (a pushed constant, broadcast to every point).
@@ -78,8 +84,8 @@ pub enum BatchInstr {
         /// Symbol slot (indexes [`BatchProgram::symbols`]).
         slot: u32,
     },
-    /// `reg[dst][i] *= reg[src][i].powf(exp)` — the stack machine's
-    /// `PowMul`.
+    /// `reg[dst][i] *= reg[src][i].powf(exp)` — one factor of a term
+    /// (`val *= base.powf(e)` in the tree walk).
     PowMul {
         /// Accumulator register (the term value).
         dst: u32,
@@ -165,9 +171,11 @@ pub struct BatchProgram {
 /// this process (reported by `symbench` and `/v1/metrics`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BatchStats {
-    /// Batch programs compiled (cache misses of [`batch_program`]).
+    /// Batch programs compiled (cache misses of
+    /// [`batch_program`](crate::batch_program)).
     pub programs_compiled: u64,
-    /// [`batch_program`] requests answered from the cache.
+    /// [`batch_program`](crate::batch_program) requests answered from the
+    /// cache.
     pub program_cache_hits: u64,
     /// Instructions across all compiled programs.
     pub instructions: u64,
@@ -203,7 +211,7 @@ pub fn batch_stats() -> BatchStats {
 }
 
 /// A register reference during compilation, before the two banks are laid
-/// out: stack registers mirror the stack machine's depth, cache registers
+/// out: stack registers mirror the value-stack depth, cache registers
 /// hold CSE'd values and root results.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Reg {
@@ -296,7 +304,7 @@ impl BatchCompiler {
         r
     }
 
-    /// Mirror of `Compiler::expr`: same per-point operation order.
+    /// Mirror of `Expr::eval`: same per-point operation order.
     fn expr(&mut self, e: &Expr) {
         self.push(|d| RawInstr::Splat(d, 0.0));
         for t in e.terms() {
@@ -379,7 +387,7 @@ impl BatchCompiler {
 impl BatchProgram {
     /// Compile `roots` into one register program with cross-expression CSE.
     /// Duplicate root ids share a result register.
-    pub fn compile(roots: &[ExprId]) -> BatchProgram {
+    pub fn new(roots: &[ExprId]) -> BatchProgram {
         let mut c = BatchCompiler {
             counts: HashMap::new(),
             cached: HashMap::new(),
@@ -438,26 +446,15 @@ impl BatchProgram {
             })
             .collect();
 
-        // Per-root symbol order for error reporting: the per-point program's
-        // slot order is the tree walk's encounter order. Every symbol of
-        // every root is loaded somewhere in the batch program (at its unit's
-        // first computation), so the global table already covers it.
+        // Per-root symbol order for error reporting. Every symbol of every
+        // root is loaded somewhere in the batch program (at its unit's first
+        // computation), so `slot` only looks up the global table.
         let root_syms: Vec<Vec<u32>> = roots
             .iter()
             .map(|r| {
-                r.program()
-                    .symbols()
-                    .iter()
-                    .map(|&s| match c.slot_of.get(&s) {
-                        Some(&slot) => slot,
-                        None => {
-                            let slot = c.syms.len() as u32;
-                            c.syms.push(s);
-                            c.slot_of.insert(s, slot);
-                            slot
-                        }
-                    })
-                    .collect()
+                let mut order = Vec::new();
+                encounter_order(&r.expr(), &mut order);
+                order.into_iter().map(|s| c.slot(s)).collect()
             })
             .collect();
 
@@ -478,10 +475,9 @@ impl BatchProgram {
     /// Evaluate every root at every point in one pass.
     ///
     /// Returns, per root, one `Result` per point: bit-identical to running
-    /// [`Expr::eval`] (or the per-point [`Program`](crate::compile::Program))
-    /// on that root with that
-    /// point's bindings — including which unbound symbol an error names. A
-    /// zero-width point axis is rejected with [`BatchError::EmptyGrid`].
+    /// [`Expr::eval`] on that root with that point's bindings — including
+    /// which unbound symbol an error names. A zero-width point axis is
+    /// rejected with [`BatchError::EmptyGrid`].
     #[allow(clippy::type_complexity)]
     pub fn eval_grid(
         &self,
@@ -574,8 +570,7 @@ impl BatchProgram {
                     .map(|p| {
                         if any_unbound {
                             // First unbound symbol in this root's tree-walk
-                            // encounter order, exactly like `Program::eval`'s
-                            // up-front slot resolution.
+                            // encounter order: the one `Expr::eval` fails on.
                             for &slot in syms {
                                 if unbound[slot as usize * n + p] {
                                     return Err(UnboundSymbol(self.syms[slot as usize]));
@@ -621,6 +616,40 @@ impl BatchProgram {
     }
 }
 
+/// Held by every unit test that evaluates a grid, a single [`ExprId::eval`]
+/// included: the eval counters are process-wide, and
+/// `counters_advance_on_compile_and_eval` asserts their exact advance, which
+/// a grid evaluated on another test thread between its two reads would
+/// break.
+#[cfg(test)]
+pub(crate) fn grid_eval_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
+/// Append the symbols of `e` not yet in `out`, in the order the tree walk
+/// first reads them. `Expr::eval` fails on the first unbound symbol it
+/// reads, so the first unbound entry of this list names the same symbol.
+fn encounter_order(e: &Expr, out: &mut Vec<Symbol>) {
+    for t in e.terms() {
+        for (a, _) in &t.factors {
+            match a {
+                Atom::Sym(s) => {
+                    if !out.contains(s) {
+                        out.push(*s);
+                    }
+                }
+                Atom::Expr(x) | Atom::Func(Func::Ceil(x)) => encounter_order(x, out),
+                Atom::Func(Func::Max(args)) | Atom::Func(Func::Min(args)) => {
+                    for x in args {
+                        encounter_order(x, out);
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Disjoint `(dst, src)` column views into the register file.
 fn split_regs(regs: &mut [f64], n: usize, dst: u32, src: u32) -> (&mut [f64], &[f64]) {
     debug_assert_ne!(dst, src, "stack discipline keeps operands disjoint");
@@ -644,18 +673,9 @@ mod tests {
         exprs.iter().map(|e| e.interned()).collect()
     }
 
-    /// Held by every test here that evaluates a grid: the eval counters are
-    /// process-wide, and `counters_advance_on_compile_and_eval` asserts their
-    /// exact advance, which a grid evaluated on another test thread between
-    /// its two reads would break.
-    fn grid_eval_lock() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
     fn assert_grid_matches_tree(roots: &[Expr], points: &[Bindings]) {
         let _guard = grid_eval_lock();
-        let prog = BatchProgram::compile(&ids(roots));
+        let prog = BatchProgram::new(&ids(roots));
         let grid = prog.eval_grid(points).expect("nonempty grid");
         for (r, e) in roots.iter().enumerate() {
             for (p, b) in points.iter().enumerate() {
@@ -691,7 +711,7 @@ mod tests {
         let shared = Expr::ceil((x.clone() + Expr::int(3)) / Expr::int(4));
         let a = shared.clone() * Expr::int(2);
         let b = shared.clone() + Expr::int(1);
-        let prog = BatchProgram::compile(&ids(&[a.clone(), b.clone()]));
+        let prog = BatchProgram::new(&ids(&[a.clone(), b.clone()]));
         assert!(prog.cse_reuses() > 0, "ceil unit must be CSE'd");
         let points = vec![
             Bindings::new().with("bt_x", 5.0),
@@ -704,7 +724,7 @@ mod tests {
     fn duplicate_roots_share_a_result_register() {
         let _guard = grid_eval_lock();
         let e = Expr::sym("bt_d") * Expr::int(3);
-        let prog = BatchProgram::compile(&ids(&[e.clone(), e.clone()]));
+        let prog = BatchProgram::new(&ids(&[e.clone(), e.clone()]));
         assert_eq!(prog.roots(), 2);
         let grid = prog
             .eval_grid(&[Bindings::new().with("bt_d", 9.0)])
@@ -730,7 +750,7 @@ mod tests {
     fn empty_grid_is_a_structured_error() {
         let _guard = grid_eval_lock();
         let e = Expr::sym("bt_e") + Expr::int(1);
-        let prog = BatchProgram::compile(&ids(&[e]));
+        let prog = BatchProgram::new(&ids(&[e]));
         assert_eq!(prog.eval_grid(&[]), Err(BatchError::EmptyGrid));
         assert!(BatchError::EmptyGrid.to_string().contains("zero-width"));
     }
@@ -740,7 +760,7 @@ mod tests {
         let _guard = grid_eval_lock();
         let e = Expr::max(vec![Expr::sym("bt_one"), Expr::int(4)]) * Expr::rat(7, 2);
         let b = Bindings::new().with("bt_one", 9.5);
-        let prog = BatchProgram::compile(&ids(std::slice::from_ref(&e)));
+        let prog = BatchProgram::new(&ids(std::slice::from_ref(&e)));
         let grid = prog.eval_grid(std::slice::from_ref(&b)).unwrap();
         assert_eq!(
             grid[0][0].as_ref().unwrap().to_bits(),
@@ -749,18 +769,70 @@ mod tests {
     }
 
     #[test]
-    fn fractional_powers_match_stack_vm_bitwise() {
+    fn fractional_powers_match_tree_eval_bitwise() {
         let _guard = grid_eval_lock();
         let p = Expr::sym("bt_p");
         let e = p.pow(Rat::HALF) * Expr::int(5) + (p.clone() + Expr::int(1)).recip();
-        let id = e.interned();
-        let prog = BatchProgram::compile(&[id]);
+        let prog = BatchProgram::new(&[e.interned()]);
         let b = Bindings::new().with("bt_p", 77.0);
         let grid = prog.eval_grid(std::slice::from_ref(&b)).unwrap();
         assert_eq!(
             grid[0][0].as_ref().unwrap().to_bits(),
-            id.program().eval(&b).unwrap().to_bits()
+            e.eval(&b).unwrap().to_bits()
         );
+    }
+
+    #[test]
+    fn min_max_branches_report_symbols_in_first_encounter_order() {
+        // The canonical form is max(5, z)·min(a, z): `bt_mm_z` is first
+        // encountered inside the `max` branch, `bt_mm_a` only later inside
+        // `min`. Error order must follow encounter order, not name order,
+        // so an all-unbound point names `bt_mm_z`, exactly like the tree
+        // walk.
+        let z = Expr::sym("bt_mm_z");
+        let a = Expr::sym("bt_mm_a");
+        let e = Expr::max(vec![z.clone(), Expr::int(5)]) * Expr::min(vec![a.clone(), z.clone()]);
+        let mut order = Vec::new();
+        encounter_order(&e, &mut order);
+        let names: Vec<String> = order.iter().map(|s| s.to_string()).collect();
+        assert_eq!(names, ["bt_mm_z", "bt_mm_a"]);
+        let none = Bindings::new();
+        assert_grid_matches_tree(std::slice::from_ref(&e), std::slice::from_ref(&none));
+        let _guard = grid_eval_lock();
+        let prog = BatchProgram::new(&[e.interned()]);
+        let err = prog.eval_grid(std::slice::from_ref(&none)).unwrap()[0][0].clone();
+        assert_eq!(err.unwrap_err().0.to_string(), "bt_mm_z");
+        // With `bt_mm_z` bound, the next symbol in encounter order errors.
+        let half = Bindings::new().with("bt_mm_z", 3.0);
+        let err = prog.eval_grid(std::slice::from_ref(&half)).unwrap()[0][0].clone();
+        assert_eq!(err, e.eval(&half));
+        assert_eq!(err.unwrap_err().0.to_string(), "bt_mm_a");
+    }
+
+    #[test]
+    fn max_min_ceil_match_tree_eval_bitwise() {
+        let x = Expr::sym("bt_mx");
+        let y = Expr::sym("bt_my");
+        let e = Expr::ceil(Expr::max(vec![x.clone() * Expr::rat(7, 3), y.clone()]))
+            * Expr::min(vec![x.clone(), y.clone() + Expr::int(1)]);
+        let b = Bindings::new().with("bt_mx", 2.75).with("bt_my", 6.5);
+        assert_grid_matches_tree(&[e], &[b]);
+    }
+
+    #[test]
+    fn repeated_symbols_share_one_slot() {
+        let h = Expr::sym("bt_slot");
+        let e = h.pow(2) + h.clone() * Expr::int(4) + h.pow(Rat::int(3));
+        let prog = BatchProgram::new(&ids(&[e]));
+        assert_eq!(prog.symbols().len(), 1);
+    }
+
+    #[test]
+    fn zero_expression_evaluates_to_zero() {
+        let _guard = grid_eval_lock();
+        let prog = BatchProgram::new(&[ExprId::zero()]);
+        let grid = prog.eval_grid(&[Bindings::new()]).unwrap();
+        assert_eq!(grid[0][0], Ok(0.0));
     }
 
     #[test]
@@ -768,7 +840,7 @@ mod tests {
         let _guard = grid_eval_lock();
         let before = batch_stats();
         let e = Expr::sym("bt_ctr") + Expr::int(41);
-        let prog = BatchProgram::compile(&ids(&[e]));
+        let prog = BatchProgram::new(&ids(&[e]));
         let pts = vec![Bindings::new().with("bt_ctr", 1.0); 4];
         prog.eval_grid(&pts).unwrap();
         let after = batch_stats();

@@ -18,8 +18,8 @@
 //! list), never lossy fingerprints, so a memo hit returns precisely the
 //! expression the tree algebra would have built — the proptest suite
 //! (`tests/intern_equiv.rs`) asserts interned ≡ tree on every operation.
-//! Numeric evaluation goes through a per-id compiled [`Program`] cache and is
-//! bit-identical to [`Expr::eval`] (see [`crate::compile`]).
+//! Numeric evaluation prices the id as a one-wide grid of its cached
+//! [`BatchProgram`] and is bit-identical to [`Expr::eval`].
 //!
 //! The table is append-only and never evicts: the workspace's expression
 //! universe is bounded by the model families (a few thousand distinct
@@ -33,7 +33,6 @@ use std::sync::{Arc, OnceLock};
 use parking_lot::RwLock;
 
 use crate::batch::{BatchProgram, BATCH_CACHE_HITS, BATCH_PROGRAMS_COMPILED};
-use crate::compile::Program;
 use crate::eval::{Bindings, UnboundSymbol};
 use crate::expr::Expr;
 use crate::rat::Rat;
@@ -57,8 +56,6 @@ pub struct InternStats {
     pub memo_misses: u64,
     /// Distinct expressions in the table.
     pub table_len: u64,
-    /// Distinct expressions with a compiled evaluation program.
-    pub programs_compiled: u64,
     /// Distinct root sets with a compiled batch program.
     pub batch_programs: u64,
     /// Entries across the add/mul/pow/bind operation memo tables.
@@ -94,8 +91,6 @@ struct Interner {
     exprs: RwLock<Vec<Arc<Expr>>>,
     /// expression → id (the hash-consing table).
     ids: RwLock<HashMap<Arc<Expr>, u32>>,
-    /// Lazily compiled stack program per id.
-    programs: RwLock<HashMap<u32, Arc<Program>>>,
     /// Lazily compiled batch program per root-id list (order-sensitive:
     /// the list *is* the program's output layout).
     batch_programs: RwLock<HashMap<Vec<u32>, Arc<BatchProgram>>>,
@@ -114,7 +109,6 @@ fn global() -> &'static Interner {
     GLOBAL.get_or_init(|| Interner {
         exprs: RwLock::new(Vec::new()),
         ids: RwLock::new(HashMap::new()),
-        programs: RwLock::new(HashMap::new()),
         batch_programs: RwLock::new(HashMap::new()),
         add_memo: RwLock::new(HashMap::new()),
         mul_memo: RwLock::new(HashMap::new()),
@@ -136,7 +130,6 @@ pub fn intern_stats() -> InternStats {
         memo_hits: it.memo_hits.load(Ordering::Relaxed),
         memo_misses: it.memo_misses.load(Ordering::Relaxed),
         table_len: it.exprs.read().len() as u64,
-        programs_compiled: it.programs.read().len() as u64,
         batch_programs: it.batch_programs.read().len() as u64,
         memo_entries: (it.add_memo.read().len()
             + it.mul_memo.read().len()
@@ -253,20 +246,14 @@ impl ExprId {
         })
     }
 
-    /// The compiled program for this expression (compiled once, then cached).
-    pub fn program(self) -> Arc<Program> {
-        let it = global();
-        if let Some(p) = it.programs.read().get(&self.0) {
-            return Arc::clone(p);
-        }
-        let prog = Arc::new(Program::compile(&self.expr()));
-        Arc::clone(it.programs.write().entry(self.0).or_insert(prog))
-    }
-
-    /// Evaluate via the compiled program. Bit-identical to
-    /// [`Expr::eval`] on the interned expression.
+    /// Evaluate as a one-wide grid of this id's cached [`BatchProgram`].
+    /// Bit-identical to [`Expr::eval`] on the interned expression,
+    /// including which unbound symbol an error names.
     pub fn eval(self, bindings: &Bindings) -> Result<f64, UnboundSymbol> {
-        self.program().eval(bindings)
+        batch_program(&[self])
+            .eval_grid(std::slice::from_ref(bindings))
+            .expect("a one-wide grid is not empty")[0][0]
+            .clone()
     }
 
     /// Evaluate and round to the nearest unsigned integer, with the same
@@ -298,7 +285,7 @@ pub fn batch_program(roots: &[ExprId]) -> Arc<BatchProgram> {
     // Compile outside the lock (same discipline as `memo_op`): concurrent
     // misses may compile twice, but the programs are identical and the
     // first insert wins.
-    let prog = Arc::new(BatchProgram::compile(roots));
+    let prog = Arc::new(BatchProgram::new(roots));
     let mut cache = it.batch_programs.write();
     if let Some(p) = cache.get(&key) {
         BATCH_CACHE_HITS.fetch_add(1, Ordering::Relaxed);
@@ -409,6 +396,7 @@ mod tests {
 
     #[test]
     fn compiled_eval_is_bit_identical_to_tree_eval() {
+        let _guard = crate::batch::grid_eval_lock();
         let e = Expr::sym("in_e").pow(Rat::HALF) * Expr::int(12) + Expr::rat(5, 7);
         let b = Bindings::new().with("in_e", 1234.0);
         assert_eq!(

@@ -13,12 +13,12 @@
 //! * [`Symbol`] — interned names; all symbols denote **positive** reals
 //!   (tensor dimensions), which licenses exponent distribution.
 //! * [`Bindings`] — symbol → value maps for numeric [`Expr::eval`].
-//! * [`ExprId`] — hash-consed expression handles: O(1) equality/hash/clone,
-//!   memoized `add`/`mul`/`pow`/`bind_all`, and compiled ([`Program`])
-//!   evaluation that is bit-identical to the tree walk.
-//! * [`BatchProgram`] — a set of roots compiled once into a register VM
-//!   that evaluates whole grids structure-of-arrays (see [`batch_program`]),
-//!   again bit-identical per point.
+//! * [`ExprId`] — hash-consed expression handles: O(1) equality/hash/clone
+//!   and memoized `add`/`mul`/`pow`/`bind_all`.
+//! * [`BatchProgram`] — the one compiled evaluator: a set of roots compiled
+//!   once into a register VM that evaluates whole grids structure-of-arrays
+//!   (see [`batch_program`]), bit-identical per point to the tree walk. A
+//!   single point ([`ExprId::eval`]) is a one-wide grid.
 //!
 //! # Example
 //!
@@ -38,7 +38,6 @@
 #![warn(rust_2018_idioms)]
 
 mod batch;
-mod compile;
 mod display;
 mod eval;
 mod expr;
@@ -47,7 +46,6 @@ mod rat;
 mod symbol;
 
 pub use batch::{batch_stats, BatchError, BatchInstr, BatchProgram, BatchStats};
-pub use compile::{Instr, Program};
 pub use eval::{Bindings, UnboundSymbol};
 pub use expr::{Atom, Expr, Func};
 pub use intern::{batch_program, intern_stats, ExprId, InternStats};

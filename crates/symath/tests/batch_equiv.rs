@@ -1,18 +1,18 @@
-//! Differential harness for the three evaluators: the tree walk
-//! ([`Expr::eval`]), the per-point stack VM ([`Program::eval`]), and the
-//! batched register VM ([`batch_program`] + `eval_grid`).
+//! Differential harness for the two evaluators: the tree walk
+//! ([`Expr::eval`], the oracle) and the batched register VM
+//! ([`batch_program`] + `eval_grid`, the only compiled evaluator).
 //!
 //! Every test generates random expression sets and random grids and asserts
 //! **bitwise** agreement via `f64::to_bits` — not approximate closeness —
 //! including NaN payloads (negative bases under fractional powers produce
-//! NaNs, and all three evaluators must produce the *same* NaN) and the
-//! error path (a partially-unbound point must name the same first-unbound
-//! symbol from every evaluator, without contaminating bound points in the
-//! same grid).
+//! NaNs, and both evaluators must produce the *same* NaN) and the error
+//! path (a partially-unbound point must name the same first-unbound symbol
+//! from both evaluators, without contaminating bound points in the same
+//! grid).
 
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
-use symath::{batch_program, Bindings, Expr, ExprId, Program, Rat, UnboundSymbol};
+use symath::{batch_program, Bindings, Expr, ExprId, Rat, UnboundSymbol};
 
 const SYMS: [&str; 4] = ["bq_a", "bq_b", "bq_c", "bq_d"];
 
@@ -56,7 +56,7 @@ fn arb_roots() -> impl Strategy<Value = Vec<Expr>> {
 
 /// One grid point binding every symbol. Negative values feed fractional
 /// powers and produce NaNs — deliberately: NaN bit patterns must survive
-/// all three evaluators identically.
+/// both evaluators identically.
 fn arb_full_point() -> impl Strategy<Value = Vec<f64>> {
     pvec(prop_oneof![-8.0f64..8.0, 0.25f64..64.0], SYMS.len())
 }
@@ -94,24 +94,18 @@ fn same_outcome(a: &Result<f64, UnboundSymbol>, b: &Result<f64, UnboundSymbol>) 
     }
 }
 
-/// Evaluate `roots` over `points` through all three evaluators and assert
-/// triple agreement per (root, point).
-fn assert_triple_agreement(roots: &[Expr], points: &[Bindings]) {
+/// Evaluate `roots` over `points` through both evaluators and assert
+/// agreement per (root, point).
+fn assert_agreement(roots: &[Expr], points: &[Bindings]) {
     let ids: Vec<ExprId> = roots.iter().map(|e| e.interned()).collect();
     let batched = batch_program(&ids)
         .eval_grid(points)
         .expect("non-empty grid");
     prop_assert_eq!(batched.len(), roots.len());
     for (r, root) in roots.iter().enumerate() {
-        let stack = Program::compile(root);
         prop_assert_eq!(batched[r].len(), points.len());
         for (p, b) in points.iter().enumerate() {
             let tree = root.eval(b);
-            let compiled = stack.eval(b);
-            prop_assert!(
-                same_outcome(&tree, &compiled),
-                "root {r} point {p}: tree {tree:?} vs stack {compiled:?} for {root}"
-            );
             prop_assert!(
                 same_outcome(&tree, &batched[r][p]),
                 "root {r} point {p}: tree {tree:?} vs batched {:?} for {root}",
@@ -122,9 +116,9 @@ fn assert_triple_agreement(roots: &[Expr], points: &[Bindings]) {
 }
 
 proptest! {
-    /// Fully-bound grids: every (root, point) value is bit-identical across
-    /// the tree walk, the stack VM, and the batched VM — including NaNs
-    /// from negative bases under sqrt.
+    /// Fully-bound grids: every (root, point) value is bit-identical between
+    /// the tree walk and the batched VM — including NaNs from negative bases
+    /// under sqrt.
     #[test]
     fn bound_grids_agree_bitwise(roots in arb_roots(), grid in pvec(arb_full_point(), 1..=6)) {
         let points: Vec<Bindings> = grid
@@ -137,17 +131,17 @@ proptest! {
                 b
             })
             .collect();
-        assert_triple_agreement(&roots, &points);
+        assert_agreement(&roots, &points);
     }
 
     /// Partially-unbound grids: unbound points error with the same
-    /// first-encountered symbol from every evaluator, and bound points in
+    /// first-encountered symbol from both evaluators, and bound points in
     /// the same grid still evaluate bit-identically (no contamination from
     /// the masked placeholder columns).
     #[test]
     fn partially_unbound_grids_agree(roots in arb_roots(), grid in pvec(arb_partial_point(), 1..=6)) {
         let points: Vec<Bindings> = grid.iter().map(|v| to_bindings(v)).collect();
-        assert_triple_agreement(&roots, &points);
+        assert_agreement(&roots, &points);
     }
 
     /// A grid of duplicated points must yield identical outcomes at every
@@ -162,7 +156,7 @@ proptest! {
                 prop_assert!(same_outcome(&w[0], &w[1]), "{:?} vs {:?}", w[0], w[1]);
             }
         }
-        assert_triple_agreement(&roots, &points);
+        assert_agreement(&roots, &points);
     }
 }
 

@@ -222,10 +222,6 @@ fn text_and_json_metrics_agree_on_shared_series() {
         ("frontier_symath_intern_hits_total", "symath.intern_hits"),
         ("frontier_symath_memo_hits_total", "symath.memo_hits"),
         (
-            "frontier_symath_programs_compiled_total",
-            "symath.programs_compiled",
-        ),
-        (
             "frontier_symath_batch_programs_compiled_total",
             "symath_batch.programs_compiled",
         ),
