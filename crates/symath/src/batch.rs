@@ -769,17 +769,19 @@ mod tests {
     }
 
     #[test]
-    fn fractional_powers_match_tree_eval_bitwise() {
+    fn fractional_powers_match_stack_vm_bitwise() {
+        // Checked against the per-point path (`ExprId::eval`, a one-wide
+        // grid) and the tree walk.
         let _guard = grid_eval_lock();
         let p = Expr::sym("bt_p");
         let e = p.pow(Rat::HALF) * Expr::int(5) + (p.clone() + Expr::int(1)).recip();
-        let prog = BatchProgram::new(&[e.interned()]);
+        let id = e.interned();
+        let prog = BatchProgram::new(&[id]);
         let b = Bindings::new().with("bt_p", 77.0);
         let grid = prog.eval_grid(std::slice::from_ref(&b)).unwrap();
-        assert_eq!(
-            grid[0][0].as_ref().unwrap().to_bits(),
-            e.eval(&b).unwrap().to_bits()
-        );
+        let got = grid[0][0].as_ref().unwrap().to_bits();
+        assert_eq!(got, id.eval(&b).unwrap().to_bits());
+        assert_eq!(got, e.eval(&b).unwrap().to_bits());
     }
 
     #[test]

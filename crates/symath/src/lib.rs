@@ -38,6 +38,11 @@
 #![warn(rust_2018_idioms)]
 
 mod batch;
+/// Single-expression compiled evaluation ([`ExprId::eval`]) checked
+/// bitwise against the tree walk.
+#[cfg(test)]
+#[path = "single_point_tests.rs"]
+mod compile;
 mod display;
 mod eval;
 mod expr;
