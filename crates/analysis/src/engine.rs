@@ -8,7 +8,11 @@
 //! 1. builds the **family** graph once per structural family — the training
 //!    graph with the swept width left as a free symbol
 //!    ([`modelzoo::WIDTH_SYM`]), with repeated subgraphs folded by
-//!    [`cgraph::fold_classes`] inside `stats()`;
+//!    [`cgraph::fold_classes`] inside `stats()` — and extracts from it the
+//!    tables every configuration is priced from: the symbolic stats, the
+//!    per-tensor element-count expressions, and a size-independent
+//!    [`FootprintPlan`]. The graph is then freed; a cached family is only
+//!    these tables;
 //! 2. per configuration, substitutes the integer width into the cached
 //!    symbolic stats and per-tensor element expressions — an **exact**
 //!    rational-arithmetic substitution, not a float evaluation;
@@ -41,7 +45,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use cgraph::{footprint_peak, FootprintPlan, InternedGraphStats};
-use modelzoo::{ModelConfig, ModelGraph, BATCH_SYM};
+use modelzoo::{ModelConfig, BATCH_SYM};
 use rayon::prelude::*;
 use symath::{batch_program, Bindings, ExprId};
 
@@ -51,10 +55,16 @@ use crate::lru::LruCache;
 /// Default bound on cached per-configuration instances.
 pub const DEFAULT_INSTANCE_CAPACITY: usize = 1024;
 
-/// One structural family: the width-symbolic training graph and its cost
-/// expressions, shared by every configuration in a sweep.
+/// One structural family: the cost tables extracted from its width-symbolic
+/// training graph, shared by every configuration in a sweep. Like the
+/// inference engine's families, a family keeps only what it prices from:
+/// the graph itself is dropped once these tables are extracted.
 struct Family {
-    model: ModelGraph,
+    /// Per-sample sequence length the family graph was built with.
+    seq_len: u64,
+    /// Labels consumed per batch element (see
+    /// [`FamilyEngine::labels_per_sample`]).
+    labels_per_sample: u64,
     /// Folded symbolic stats over the batch and width symbols.
     stats: InternedGraphStats,
     /// Deduplicated element-count expressions: an unrolled graph repeats the
@@ -62,8 +72,8 @@ struct Family {
     /// per-tensor expressions collapse to a handful of distinct ones —
     /// dedup is an id comparison now, not a tree hash.
     uniq_elems: Vec<ExprId>,
-    /// Per tensor (indexed like `model.graph.tensors()`): which entry of
-    /// `uniq_elems` counts its elements, and its element size in bytes.
+    /// Per tensor (indexed like the family graph's `tensors()`): which entry
+    /// of `uniq_elems` counts its elements, and its element size in bytes.
     elem_slot: Vec<(u32, u64)>,
     /// Size-independent footprint extraction of the family graph: built once,
     /// priced against every configuration's size table.
@@ -139,12 +149,18 @@ impl FamilyEngine {
             .collect();
         let plan = obs::time("engine.family_plan", || FootprintPlan::new(&model.graph));
         let family = Arc::new(Family {
-            model,
+            seq_len: model.seq_len,
+            labels_per_sample: model.labels_per_sample,
             stats,
             uniq_elems,
             elem_slot,
             plan,
         });
+        // Everything the engine prices from is extracted, so the graph is
+        // not cached. Free it here, before the lock below: a tail
+        // expression's lock guard would outlive this local, and freeing a
+        // family graph takes tens of milliseconds.
+        drop(model);
         Arc::clone(
             self.families
                 .lock()
@@ -260,7 +276,7 @@ impl FamilyEngine {
                     bytes_per_step: bytes,
                     op_intensity: flops / bytes,
                     footprint_bytes: footprint as f64,
-                    seq_len: inst.family.model.seq_len,
+                    seq_len: inst.family.seq_len,
                 }
             })
             .collect()
@@ -317,7 +333,7 @@ impl FamilyEngine {
     /// slope of `samples_per_step(b)`. Width-independent, so the cached
     /// family answers without building a concrete instance.
     pub fn labels_per_sample(&self, cfg: &ModelConfig) -> u64 {
-        self.family(cfg).model.labels_per_sample
+        self.family(cfg).labels_per_sample
     }
 
     /// Number of family graphs currently cached.
@@ -350,6 +366,28 @@ mod tests {
         let brute = crate::characterize(&cfg, 16);
         let fast = engine.characterize(&cfg, 16);
         assert_eq!(brute, fast);
+    }
+
+    #[test]
+    fn stored_family_fields_match_the_concrete_build() {
+        // A family keeps `seq_len` and `labels_per_sample` as fields rather
+        // than reading them off a retained graph: pin them to the concrete
+        // training graph's for every domain.
+        let engine = FamilyEngine::new();
+        for domain in Domain::ALL {
+            let cfg = ModelConfig::default_for(domain);
+            let model = cfg.build_training();
+            assert_eq!(
+                engine.labels_per_sample(&cfg),
+                model.labels_per_sample,
+                "{domain:?}"
+            );
+            assert_eq!(
+                engine.characterize(&cfg, 4).seq_len,
+                model.seq_len,
+                "{domain:?}"
+            );
+        }
     }
 
     #[test]

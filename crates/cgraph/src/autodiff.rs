@@ -652,6 +652,22 @@ mod tests {
     }
 
     #[test]
+    fn pointwise_outputs_and_gradients_share_their_source_dims() {
+        // Shapes taken from an existing tensor are refcount bumps, not deep
+        // expression copies: a family graph holds tens of thousands of them.
+        let (mut g, loss) = mlp_with_loss();
+        let step = build_training_step(&mut g, loss).unwrap();
+        let shares = |a: TensorId, b: TensorId| {
+            std::sync::Arc::ptr_eq(&g.tensor(a).shape.0, &g.tensor(b).shape.0)
+        };
+        let relu = g.ops().iter().find(|o| o.name == "relu").unwrap();
+        assert!(shares(relu.inputs[0], relu.outputs[0]));
+        for &(w, dw) in &step.weight_grads {
+            assert!(shares(w, dw), "{}", g.tensor(dw).name);
+        }
+    }
+
+    #[test]
     fn every_weight_gets_exactly_one_update() {
         let (mut g, loss) = mlp_with_loss();
         build_training_step(&mut g, loss).unwrap();

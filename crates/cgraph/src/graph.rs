@@ -602,14 +602,14 @@ impl Graph {
         idx: TensorId,
     ) -> Result<TensorId, GraphError> {
         let e = self.tensor(table).shape.dim(1).clone();
-        let mut dims = self.tensor(idx).shape.0.clone();
+        let mut dims = self.tensor(idx).shape.0.to_vec();
         dims.push(e);
         let oname = self.auto_name(name);
         let out = self.add_op(
             name.to_owned(),
             OpKind::EmbeddingGather,
             vec![table, idx],
-            vec![(oname, Shape(dims), DType::F32, TensorKind::Activation)],
+            vec![(oname, Shape::from(dims), DType::F32, TensorKind::Activation)],
             Phase::Forward,
         )?;
         Ok(out[0])
@@ -717,7 +717,7 @@ impl Graph {
     ) -> Result<TensorId, GraphError> {
         assert!(!xs.is_empty(), "concat of no tensors");
         let first = self.tensor(xs[0]).shape.clone();
-        let mut dims = first.0.clone();
+        let mut dims = first.0.to_vec();
         let mut cat: Expr = dims[axis].clone();
         for &x in &xs[1..] {
             cat = cat + self.tensor(x).shape.dim(axis).clone();
@@ -728,7 +728,7 @@ impl Graph {
             name.to_owned(),
             OpKind::Concat,
             xs.to_vec(),
-            vec![(oname, Shape(dims), DType::F32, TensorKind::Activation)],
+            vec![(oname, Shape::from(dims), DType::F32, TensorKind::Activation)],
             Phase::Forward,
         )?;
         Ok(out[0])
@@ -743,14 +743,15 @@ impl Graph {
         n: u64,
     ) -> Result<Vec<TensorId>, GraphError> {
         let xs = self.tensor(x).shape.clone();
-        let mut dims = xs.0.clone();
+        let mut dims = xs.0.to_vec();
         dims[axis] = dims[axis].clone() * Expr::rat(1, n as i128);
+        let shape = Shape::from(dims);
         let dtype = self.tensor(x).dtype;
         let outputs: Vec<_> = (0..n)
             .map(|i| {
                 (
                     self.auto_name(&format!("{name}_{i}")),
-                    Shape(dims.clone()),
+                    shape.clone(),
                     dtype,
                     TensorKind::Activation,
                 )

@@ -384,7 +384,7 @@ pub fn infer_matmul_shape(kind: &OpKind, a: &Shape, b: &Shape) -> Shape {
             let n = if *tb { b.dim(rb - 2) } else { b.dim(rb - 1) }.clone();
             dims.push(m);
             dims.push(n);
-            Shape(dims)
+            Shape(dims.into())
         }
         _ => panic!("infer_matmul_shape on non-matmul op"),
     }
@@ -414,7 +414,7 @@ mod tests {
         Tensor {
             id: TensorId(0),
             name: name.into(),
-            shape: Shape(dims),
+            shape: Shape(dims.into()),
             dtype: DType::F32,
             kind: TensorKind::Activation,
         }

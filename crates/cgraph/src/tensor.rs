@@ -1,6 +1,7 @@
 //! Tensors: symbolic shapes, element types, and roles in the training graph.
 
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use symath::{Bindings, Expr, ExprId, UnboundSymbol};
@@ -74,13 +75,18 @@ impl TensorKind {
 }
 
 /// A tensor shape: an ordered list of symbolic dimensions.
+///
+/// The dimensions are shared: cloning a shape bumps a reference count
+/// rather than copying its expressions, so the many tensors that take an
+/// existing tensor's shape (pointwise outputs, gradients) hold one copy of
+/// it between them. Equality, hashing and display go by value.
 #[derive(Clone, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
-pub struct Shape(pub Vec<Expr>);
+pub struct Shape(pub Arc<[Expr]>);
 
 impl Shape {
     /// A scalar (rank-0) shape.
     pub fn scalar() -> Shape {
-        Shape(Vec::new())
+        Shape(Arc::new([]))
     }
 
     /// Build a shape from anything convertible to dimensions.
@@ -141,7 +147,7 @@ impl<const N: usize> From<[Expr; N]> for Shape {
 
 impl From<Vec<Expr>> for Shape {
     fn from(dims: Vec<Expr>) -> Shape {
-        Shape(dims)
+        Shape(dims.into())
     }
 }
 

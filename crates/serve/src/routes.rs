@@ -1,15 +1,18 @@
 //! Endpoint handlers: URL → (validated query) → memoized analysis → JSON.
 //!
-//! Expensive endpoints (`characterize`, `project`, `subbatch`, `plan`) run
-//! through the [`MemoCache`](crate::cache::MemoCache) keyed by
-//! [`frontier::QueryKey`], so a repeat query is a hash lookup returning the
-//! byte-identical body. `healthz` and `metrics` are always live.
+//! Expensive endpoints (`characterize`, `sweep`, `project`, `subbatch`,
+//! `plan*`, `infer/*`) run through the [`MemoCache`](crate::cache::MemoCache)
+//! keyed by [`frontier::QueryKey`], so a repeat query is a hash lookup
+//! returning the byte-identical body. A miss on `characterize`, `sweep` or
+//! `plan*` is priced by the process-wide [`analysis::FamilyEngine`]
+//! and one on `infer/*` by [`InferEngine`]: cached symbolic families, no
+//! per-request graph rebuild. `healthz` and `metrics` are always live.
 
 use std::time::Instant;
 
 use analysis::{
-    characterize, fig11_batches, frontier_row, subbatch_analysis, InferConfig, InferEngine,
-    InferPlanRequest, InferPoint, PlanSearchRequest,
+    fig11_batches, frontier_row, subbatch_analysis, InferConfig, InferEngine, InferPlanRequest,
+    InferPoint, PlanSearchRequest,
 };
 use frontier::QueryKey;
 use modelzoo::{Domain, ModelConfig};
@@ -249,7 +252,11 @@ fn config_for(domain: Domain, params: Option<u64>) -> ModelConfig {
 // ---------------------------------------------------------------- endpoints
 
 /// `GET /v1/characterize?domain=&params=&subbatch=` — one Table 2 / Figures
-/// 7–10 measurement.
+/// 7–10 measurement, answered by the process-wide
+/// [`analysis::FamilyEngine`] as a one-row grid over the configuration's
+/// cached instance: no graph is rebuilt or differentiated per request. The
+/// point is bit-identical to the brute-force [`analysis::characterize`],
+/// which stays as the test oracle.
 fn characterize_route(
     state: &AppState,
     q: &Query,
@@ -273,7 +280,7 @@ fn characterize_route(
         .config(&cfg)
         .bindings(&bindings);
     memoized(state, &key, "characterize", trace, move || {
-        let point = characterize(&cfg, subbatch);
+        let point = analysis::FamilyEngine::global().characterize(&cfg, subbatch);
         Json::obj()
             .set("domain", domain.key())
             .set("subbatch", subbatch)

@@ -186,6 +186,40 @@ fn sweep_grid_matches_brute_force_and_caches() {
 }
 
 #[test]
+fn characterize_matches_the_brute_force_oracle_on_every_domain() {
+    // `/v1/characterize` is answered by the family engine; every field of
+    // the served point must equal a fresh graph rebuild, bit for bit.
+    let server = test_server();
+    let addr = server.local_addr();
+    let params = 3_000_000u64;
+    for domain in modelzoo::Domain::ALL {
+        let cfg = modelzoo::ModelConfig::default_for(domain).with_target_params(params);
+        for subbatch in [8u64, 48] {
+            let path = format!(
+                "/v1/characterize?domain={}&params={params}&subbatch={subbatch}",
+                domain.key()
+            );
+            let (status, _, body) = get(addr, &path);
+            assert_eq!(status, 200, "{path}: {body}");
+            let doc = Json::parse(&body).expect("characterize JSON");
+            let expect = analysis::characterize(&cfg, subbatch);
+            for (field, want) in [
+                ("params", expect.params),
+                ("flops_per_step", expect.flops_per_step),
+                ("flops_per_sample", expect.flops_per_sample),
+                ("bytes_per_step", expect.bytes_per_step),
+                ("op_intensity", expect.op_intensity),
+                ("footprint_bytes", expect.footprint_bytes),
+                ("seq_len", expect.seq_len as f64),
+            ] {
+                let got = doc.path(&format!("point.{field}")).and_then(Json::as_f64);
+                assert_eq!(got, Some(want), "{path}: {field}");
+            }
+        }
+    }
+}
+
+#[test]
 fn malformed_requests_get_structured_errors_and_never_kill_the_server() {
     let server = test_server();
     let addr = server.local_addr();
