@@ -37,9 +37,9 @@
 //!
 //! The per-configuration **instance cache is LRU-bounded** (the family cache
 //! is not: there are only a handful of structural families, but a
-//! long-running server sweeps unboundedly many widths). The eviction
-//! discipline mirrors `serve`'s memo cache: a monotone tick, touch on use,
-//! evict the smallest tick while over capacity.
+//! long-running server sweeps unboundedly many widths). It is the
+//! workspace's one [`Lru`], the same map that bounds `serve`'s response
+//! cache.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -50,7 +50,7 @@ use rayon::prelude::*;
 use symath::{batch_program, Bindings, ExprId};
 
 use crate::characterize::CharacterizationPoint;
-use crate::lru::LruCache;
+use crate::lru::Lru;
 
 /// Default bound on cached per-configuration instances.
 pub const DEFAULT_INSTANCE_CAPACITY: usize = 1024;
@@ -93,7 +93,7 @@ struct Instance {
 /// [`characterize`](FamilyEngine::characterize) from rayon workers.
 pub struct FamilyEngine {
     families: Mutex<HashMap<String, Arc<Family>>>,
-    instances: Mutex<LruCache<Arc<Instance>>>,
+    instances: Mutex<Lru<String, Arc<Instance>>>,
 }
 
 impl Default for FamilyEngine {
@@ -112,7 +112,7 @@ impl FamilyEngine {
     pub fn with_instance_capacity(capacity: usize) -> FamilyEngine {
         FamilyEngine {
             families: Mutex::new(HashMap::new()),
-            instances: Mutex::new(LruCache::new(capacity)),
+            instances: Mutex::new(Lru::new(capacity)),
         }
     }
 
@@ -132,21 +132,24 @@ impl FamilyEngine {
         // results are identical and the first insert wins.
         let model = obs::time("modelzoo.build_family", || cfg.build_family_training());
         let stats = obs::time("engine.family_stats", || model.graph.stats_interned());
-        let mut uniq_elems: Vec<ExprId> = Vec::new();
-        let mut slot_of: HashMap<ExprId, u32> = HashMap::new();
-        let elem_slot = model
-            .graph
-            .tensors()
-            .iter()
-            .map(|t| {
-                let e = t.shape.elements_id();
-                let slot = *slot_of.entry(e).or_insert_with(|| {
-                    uniq_elems.push(e);
-                    (uniq_elems.len() - 1) as u32
-                });
-                (slot, t.dtype.size_bytes())
-            })
-            .collect();
+        let (uniq_elems, elem_slot) = obs::time("engine.family_elems", || {
+            let mut uniq_elems: Vec<ExprId> = Vec::new();
+            let mut slot_of: HashMap<ExprId, u32> = HashMap::new();
+            let elem_slot = model
+                .graph
+                .tensors()
+                .iter()
+                .map(|t| {
+                    let e = t.shape.elements_id();
+                    let slot = *slot_of.entry(e).or_insert_with(|| {
+                        uniq_elems.push(e);
+                        (uniq_elems.len() - 1) as u32
+                    });
+                    (slot, t.dtype.size_bytes())
+                })
+                .collect();
+            (uniq_elems, elem_slot)
+        });
         let plan = obs::time("engine.family_plan", || FootprintPlan::new(&model.graph));
         let family = Arc::new(Family {
             seq_len: model.seq_len,
@@ -160,7 +163,7 @@ impl FamilyEngine {
         // not cached. Free it here, before the lock below: a tail
         // expression's lock guard would outlive this local, and freeing a
         // family graph takes tens of milliseconds.
-        drop(model);
+        obs::time("engine.family_drop", || drop(model));
         Arc::clone(
             self.families
                 .lock()
@@ -200,6 +203,7 @@ impl FamilyEngine {
             .lock()
             .expect("poisoned")
             .insert(key, instance)
+            .0
     }
 
     /// Symbolic counterpart of [`crate::characterize`]: the same

@@ -44,7 +44,7 @@ use serde::{Deserialize, Serialize};
 use symath::{batch_program, Bindings, Expr, ExprId};
 
 use crate::engine::DEFAULT_INSTANCE_CAPACITY;
-use crate::lru::LruCache;
+use crate::lru::Lru;
 
 /// Bytes per KV-cache element (the builders cache K/V in f32).
 pub const KV_DTYPE_BYTES: u64 = 4;
@@ -197,7 +197,7 @@ struct InferInstance {
 /// The symbolic inference sweep engine (see the module docs).
 pub struct InferEngine {
     families: Mutex<HashMap<String, Arc<InferFamily>>>,
-    instances: Mutex<LruCache<Arc<InferInstance>>>,
+    instances: Mutex<Lru<String, Arc<InferInstance>>>,
 }
 
 impl Default for InferEngine {
@@ -216,7 +216,7 @@ impl InferEngine {
     pub fn with_instance_capacity(capacity: usize) -> InferEngine {
         InferEngine {
             families: Mutex::new(HashMap::new()),
-            instances: Mutex::new(LruCache::new(capacity)),
+            instances: Mutex::new(Lru::new(capacity)),
         }
     }
 
@@ -288,6 +288,7 @@ impl InferEngine {
             .lock()
             .expect("poisoned")
             .insert(key, instance)
+            .0
     }
 
     /// Symbolic counterpart of [`characterize_infer`]: the same

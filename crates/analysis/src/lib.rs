@@ -15,6 +15,8 @@
 //!   top of [`parsim`].
 //! * [`hardware_sensitivity`] — the §6.2.3 design-space exploration: which
 //!   hardware resource helps which workload.
+//! * [`Lru`] — the workspace's one LRU map, bounding the engines' instance
+//!   caches and `serve`'s response cache.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -43,6 +45,7 @@ pub use infer::{
     InferPoint, ServingCaseStudy, ServingRow, KV_DTYPE_BYTES,
 };
 pub use inferplan::{infer_plan, infer_search_space, InferPlanRequest};
+pub use lru::Lru;
 pub use plansearch::{
     plan_search, plan_search_space, synthetic_stages, PlanSearchRequest, PLAN_USABLE_MEM_FRACTION,
 };

@@ -1,23 +1,35 @@
-//! Sharded, content-addressed memoization cache with single-flight compute.
+//! The serve tier's one response cache: sharded, content-addressed, with
+//! single-flight compute and a raw-target alias index.
 //!
-//! Keys are [`frontier::QueryKey`] 128-bit content hashes; values are the
-//! rendered JSON response bodies (`Arc<String>`, so a hit is a hash lookup
-//! plus a refcount bump). Each shard is an independently locked LRU map, so
-//! concurrent queries for different keys contend only 1/N of the time.
+//! Each cached response is one [`CachedBytes`] allocation — the rendered
+//! JSON body plus both pre-rendered `x-cache: hit` heads — held behind an
+//! `Arc`. It is stored under its [`frontier::QueryKey`] 128-bit content
+//! hash, and the reactor additionally aliases it under each raw request
+//! target (`/path?query`) that produced it, so a warm hit is one lock, one
+//! probe, and a single `writev` with no canonicalization and no re-encode.
+//! An alias and its entry share the same `Arc`; they evict independently
+//! (each map is its own [`Lru`]), which is safe because every value is a
+//! pure function of its query and can never go stale.
 //!
-//! **Single-flight:** the first request for a key installs a `Pending` slot
-//! and computes outside the lock; concurrent requests for the same key block
+//! **Single-flight:** the first request for a key installs a flight and
+//! computes outside the lock; concurrent requests for the same key block
 //! on the flight's condvar and receive the same `Arc` — an expensive
 //! characterization is computed exactly once no matter how many clients ask
-//! simultaneously. A panicking compute poisons nobody: the pending slot is
-//! removed, waiters get the error, and later requests recompute.
+//! simultaneously. A pending flight is never an LRU entry, so it is never
+//! evicted. A panicking compute poisons nobody: the flight is removed,
+//! waiters get the error, and later requests recompute.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
+use analysis::Lru;
+
+use crate::http;
 use crate::trace::elapsed_us;
 
 /// How a lookup was satisfied.
@@ -43,84 +55,112 @@ pub struct LookupTiming {
     pub compute_us: u64,
 }
 
-type ComputeResult = Result<Arc<String>, String>;
+/// A fully pre-serialized response: the JSON body plus two pre-rendered
+/// heads (`x-cache: hit`, one per connection disposition). Rendered once,
+/// inside the memoized compute; a warm hit is a single `writev` of
+/// `[head, body]` — zero re-encode, zero copy of the body bytes.
+#[derive(Debug)]
+pub struct CachedBytes {
+    /// HTTP status the cached exchange produced (always 200: only
+    /// successful responses are cached).
+    pub status: u16,
+    /// Endpoint label for metrics/flight records.
+    pub endpoint: &'static str,
+    /// The response body, byte-identical to fresh serialization.
+    pub body: String,
+    /// Pre-rendered head ending in `connection: keep-alive` + `x-cache: hit`.
+    pub head_keep_alive: Vec<u8>,
+    /// Pre-rendered head ending in `connection: close` + `x-cache: hit`.
+    pub head_close: Vec<u8>,
+}
+
+impl CachedBytes {
+    /// A status-200 response for `endpoint`, with both hit heads rendered.
+    pub fn new(endpoint: &'static str, content_type: &str, body: String) -> CachedBytes {
+        let head = |keep_alive| {
+            http::render_head(200, body.len(), Some("hit"), content_type, keep_alive).into_bytes()
+        };
+        CachedBytes {
+            status: 200,
+            endpoint,
+            head_keep_alive: head(true),
+            head_close: head(false),
+            body,
+        }
+    }
+}
+
+type ComputeResult = Result<Arc<CachedBytes>, String>;
 
 struct Flight {
     done: Mutex<Option<ComputeResult>>,
     cv: Condvar,
 }
 
-enum Slot {
-    Ready(Arc<String>),
-    Pending(Arc<Flight>),
-}
-
-struct Entry {
-    slot: Slot,
-    last_used: u64,
-}
-
 struct Shard {
-    map: HashMap<u128, Entry>,
+    /// Resident responses by `QueryKey` hash.
+    ready: Lru<u128, Arc<CachedBytes>>,
+    /// Computes in progress by `QueryKey` hash.
+    flights: HashMap<u128, Arc<Flight>>,
+    /// Raw request target → the same `Arc` as its `ready` entry.
+    aliases: Lru<String, Arc<CachedBytes>>,
 }
 
 /// Cache hit/miss/eviction counters (all monotonic).
 #[derive(Debug, Default)]
 pub struct CacheStats {
-    /// Lookups satisfied from a resident value.
+    /// Lookups satisfied from a resident value (by key or by target).
     pub hits: AtomicU64,
     /// Lookups that computed the value.
     pub misses: AtomicU64,
     /// Lookups that waited on another request's compute.
     pub coalesced: AtomicU64,
-    /// Values evicted to stay under capacity.
+    /// Values evicted from the query-key index to stay under capacity.
     pub evictions: AtomicU64,
     /// Computes that failed (panicked or returned an error).
     pub failures: AtomicU64,
 }
 
-/// The memoization cache.
-pub struct MemoCache {
+/// The response cache (see the module docs).
+pub struct ResponseCache {
     shards: Vec<Mutex<Shard>>,
     per_shard_capacity: usize,
-    tick: AtomicU64,
     /// Counters, exposed for `/v1/metrics`.
     pub stats: CacheStats,
 }
 
-impl MemoCache {
-    /// A cache bounded to roughly `capacity` resident values, spread over
-    /// `shards` independently locked shards.
-    pub fn new(capacity: usize, shards: usize) -> MemoCache {
+impl ResponseCache {
+    /// A cache bounded to roughly `capacity` resident responses and, apart
+    /// from those, `capacity` raw-target aliases, spread over `shards`
+    /// independently locked shards.
+    pub fn new(capacity: usize, shards: usize) -> ResponseCache {
         let shards = shards.clamp(1, 64);
         let per_shard_capacity = capacity.div_ceil(shards).max(1);
-        MemoCache {
+        ResponseCache {
             shards: (0..shards)
                 .map(|_| {
                     Mutex::new(Shard {
-                        map: HashMap::new(),
+                        ready: Lru::new(per_shard_capacity),
+                        flights: HashMap::new(),
+                        aliases: Lru::new(per_shard_capacity),
                     })
                 })
                 .collect(),
             per_shard_capacity,
-            tick: AtomicU64::new(0),
             stats: CacheStats::default(),
         }
     }
 
-    /// Total resident (ready) values across shards.
-    pub fn len(&self) -> usize {
+    fn sum(&self, f: fn(&Shard) -> usize) -> usize {
         self.shards
             .iter()
-            .map(|s| {
-                s.lock()
-                    .expect("cache shard lock")
-                    .map
-                    .values()
-                    .filter(|e| matches!(e.slot, Slot::Ready(_)))
-                    .count()
-            })
+            .map(|s| f(&s.lock().expect("cache shard lock")))
             .sum()
+    }
+
+    /// Total resident responses across shards.
+    pub fn len(&self) -> usize {
+        self.sum(|s| s.ready.len())
     }
 
     /// Is the cache empty?
@@ -128,31 +168,54 @@ impl MemoCache {
         self.len() == 0
     }
 
-    /// Nominal capacity (values).
+    /// Total resident raw-target aliases across shards.
+    pub fn alias_count(&self) -> usize {
+        self.sum(|s| s.aliases.len())
+    }
+
+    /// Nominal capacity (responses).
     pub fn capacity(&self) -> usize {
         self.per_shard_capacity * self.shards.len()
     }
 
-    fn shard_for(&self, key: u128) -> &Mutex<Shard> {
+    /// Lock the shard holding `key`'s entry or flight.
+    fn shard(&self, key: u128) -> MutexGuard<'_, Shard> {
         // High bits select the shard; the map hashes the full key.
         let idx = ((key >> 96) as usize) % self.shards.len();
-        &self.shards[idx]
+        self.shards[idx].lock().expect("cache shard lock")
     }
 
-    fn touch(&self) -> u64 {
-        // Relaxed: a single-atomic RMW is already totally ordered with other
-        // RMWs on the same atomic, which is all LRU recency needs; ties
-        // across shards carry no meaning.
-        self.tick.fetch_add(1, Ordering::Relaxed)
+    /// Lock the shard holding `target`'s alias.
+    fn target_shard(&self, target: &str) -> MutexGuard<'_, Shard> {
+        let mut h = DefaultHasher::new();
+        target.hash(&mut h);
+        let idx = (h.finish() as usize) % self.shards.len();
+        self.shards[idx].lock().expect("cache shard lock")
     }
 
-    /// Look up `key`, computing the value with `compute` on a miss. Returns
-    /// the body and how it was obtained. `compute` errors (including
-    /// panics, reported as errors) are not cached.
+    /// The reactor's warm path: the response aliased under the raw request
+    /// `target`, refreshing its recency. A hit counts as a cache hit.
+    pub fn get_target(&self, target: &str) -> Option<Arc<CachedBytes>> {
+        let hit = self.target_shard(target).aliases.get(target)?;
+        // Relaxed: standalone monotone tally (see `get_or_compute_timed`).
+        self.stats.hits.fetch_add(1, Ordering::Relaxed);
+        Some(hit)
+    }
+
+    /// Alias `value` (a response this cache produced) under the raw request
+    /// `target`, evicting the least-recently-used alias if the shard is
+    /// over capacity. An existing alias is kept (both are the same bytes).
+    pub fn alias(&self, target: String, value: Arc<CachedBytes>) {
+        self.target_shard(&target).aliases.insert(target, value);
+    }
+
+    /// Look up `key`, computing the response with `compute` on a miss.
+    /// Returns the response and how it was obtained. `compute` errors
+    /// (including panics, reported as errors) are not cached.
     pub fn get_or_compute(
         &self,
         key: u128,
-        compute: impl FnOnce() -> Result<String, String>,
+        compute: impl FnOnce() -> Result<CachedBytes, String>,
     ) -> (ComputeResult, Outcome) {
         let (result, outcome, _) = self.get_or_compute_timed(key, compute);
         (result, outcome)
@@ -164,66 +227,43 @@ impl MemoCache {
     pub fn get_or_compute_timed(
         &self,
         key: u128,
-        compute: impl FnOnce() -> Result<String, String>,
+        compute: impl FnOnce() -> Result<CachedBytes, String>,
     ) -> (ComputeResult, Outcome, LookupTiming) {
         let probe_start = Instant::now();
-        let flight: Arc<Flight>;
-        {
-            let mut shard = self.shard_for(key).lock().expect("cache shard lock");
-            match shard.map.get_mut(&key) {
-                Some(entry) => {
-                    entry.last_used = self.touch();
-                    match &entry.slot {
-                        Slot::Ready(value) => {
-                            let value = Arc::clone(value);
-                            // Relaxed: standalone monotone tally. Exact
-                            // cross-thread visibility in tests is given by
-                            // the response write happening before the test's
-                            // next request (TCP read → happens-before).
-                            self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                            return (
-                                Ok(value),
-                                Outcome::Hit,
-                                LookupTiming {
-                                    lookup_us: elapsed_us(probe_start),
-                                    ..LookupTiming::default()
-                                },
-                            );
-                        }
-                        Slot::Pending(f) => {
-                            flight = Arc::clone(f);
-                            // fall through to wait outside the shard lock
-                        }
-                    }
-                }
-                None => {
-                    let f = Arc::new(Flight {
-                        done: Mutex::new(None),
-                        cv: Condvar::new(),
-                    });
-                    shard.map.insert(
-                        key,
-                        Entry {
-                            slot: Slot::Pending(Arc::clone(&f)),
-                            last_used: self.touch(),
-                        },
-                    );
-                    drop(shard);
-                    let lookup_us = elapsed_us(probe_start);
-                    let compute_start = Instant::now();
-                    let result = self.run_flight(key, f, compute);
-                    return (
-                        result,
-                        Outcome::Miss,
-                        LookupTiming {
-                            lookup_us,
-                            wait_us: 0,
-                            compute_us: elapsed_us(compute_start),
-                        },
-                    );
-                }
-            }
+        let mut shard = self.shard(key);
+        if let Some(value) = shard.ready.get(&key) {
+            drop(shard);
+            // Relaxed: standalone monotone tally. Exact cross-thread
+            // visibility in tests is given by the response write happening
+            // before the test's next request (TCP read → happens-before).
+            self.stats.hits.fetch_add(1, Ordering::Relaxed);
+            let timing = LookupTiming {
+                lookup_us: elapsed_us(probe_start),
+                ..LookupTiming::default()
+            };
+            return (Ok(value), Outcome::Hit, timing);
         }
+        let flight = match shard.flights.get(&key) {
+            Some(f) => Arc::clone(f),
+            None => {
+                let f = Arc::new(Flight {
+                    done: Mutex::new(None),
+                    cv: Condvar::new(),
+                });
+                shard.flights.insert(key, Arc::clone(&f));
+                drop(shard);
+                let lookup_us = elapsed_us(probe_start);
+                let compute_start = Instant::now();
+                let result = self.run_flight(key, f, compute);
+                let timing = LookupTiming {
+                    lookup_us,
+                    wait_us: 0,
+                    compute_us: elapsed_us(compute_start),
+                };
+                return (result, Outcome::Miss, timing);
+            }
+        };
+        drop(shard);
         // Wait for the in-flight compute.
         let lookup_us = elapsed_us(probe_start);
         // Relaxed: standalone monotone tally (see `hits` above).
@@ -248,13 +288,13 @@ impl MemoCache {
         &self,
         key: u128,
         flight: Arc<Flight>,
-        compute: impl FnOnce() -> Result<String, String>,
+        compute: impl FnOnce() -> Result<CachedBytes, String>,
     ) -> ComputeResult {
         // Relaxed: standalone monotone tally; the value itself is published
         // via the shard mutex / flight condvar, never via this counter.
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
         let result: ComputeResult = match catch_unwind(AssertUnwindSafe(compute)) {
-            Ok(Ok(body)) => Ok(Arc::new(body)),
+            Ok(Ok(bytes)) => Ok(Arc::new(bytes)),
             Ok(Err(e)) => Err(e),
             Err(panic) => {
                 let msg = panic
@@ -269,53 +309,24 @@ impl MemoCache {
             // Relaxed: standalone monotone tally, observed only by scrapes.
             self.stats.failures.fetch_add(1, Ordering::Relaxed);
         }
-        {
-            let mut shard = self.shard_for(key).lock().expect("cache shard lock");
-            match &result {
-                Ok(value) => {
-                    if let Some(entry) = shard.map.get_mut(&key) {
-                        entry.slot = Slot::Ready(Arc::clone(value));
-                        entry.last_used = self.touch();
-                    }
-                    self.evict_if_needed(&mut shard);
-                }
-                Err(_) => {
-                    // Drop the pending slot so a later request retries.
-                    shard.map.remove(&key);
-                }
-            }
-        }
+        let result = {
+            let mut shard = self.shard(key);
+            shard.flights.remove(&key);
+            // A failed compute leaves no entry, so a later request retries.
+            result.map(|value| {
+                let (kept, evicted) = shard.ready.insert(key, value);
+                // Relaxed: standalone monotone tally; the removals
+                // themselves are ordered by the shard mutex held here.
+                self.stats
+                    .evictions
+                    .fetch_add(evicted as u64, Ordering::Relaxed);
+                kept
+            })
+        };
         // Wake everyone coalesced on this flight.
         *flight.done.lock().expect("flight lock") = Some(result.clone());
         flight.cv.notify_all();
         result
-    }
-
-    /// Evict least-recently-used *ready* entries until the shard is at
-    /// capacity. Pending flights are never evicted.
-    fn evict_if_needed(&self, shard: &mut Shard) {
-        loop {
-            let ready = shard
-                .map
-                .values()
-                .filter(|e| matches!(e.slot, Slot::Ready(_)))
-                .count();
-            if ready <= self.per_shard_capacity {
-                return;
-            }
-            let Some((&victim, _)) = shard
-                .map
-                .iter()
-                .filter(|(_, e)| matches!(e.slot, Slot::Ready(_)))
-                .min_by_key(|(_, e)| e.last_used)
-            else {
-                return;
-            };
-            shard.map.remove(&victim);
-            // Relaxed: standalone monotone tally; the removal itself is
-            // ordered by the shard mutex held here.
-            self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// Hit rate over all lookups so far (0 when none).
@@ -333,137 +344,20 @@ impl MemoCache {
     }
 }
 
-// ------------------------------------------------------------- bytes cache
-
-/// A fully pre-serialized response: the JSON body shared with the
-/// [`MemoCache`]'s value plus two pre-rendered heads (`x-cache: hit`, one
-/// per connection disposition). A warm hit is a single `writev` of
-/// `[head, body]` — zero re-encode, zero copy of the body bytes.
-pub struct CachedBytes {
-    /// HTTP status the cached exchange produced (always 200 today; only
-    /// successful cacheable responses are admitted).
-    pub status: u16,
-    /// Endpoint label for metrics/flight records.
-    pub endpoint: &'static str,
-    /// The response body, byte-identical to fresh serialization.
-    pub body: Arc<String>,
-    /// Pre-rendered head ending in `connection: keep-alive` + `x-cache: hit`.
-    pub head_keep_alive: Vec<u8>,
-    /// Pre-rendered head ending in `connection: close` + `x-cache: hit`.
-    pub head_close: Vec<u8>,
-}
-
-struct BytesEntry {
-    value: Arc<CachedBytes>,
-    last_used: u64,
-}
-
-struct BytesShard {
-    map: HashMap<String, BytesEntry>,
-}
-
-/// Response-bytes cache layered **above** the [`MemoCache`].
-///
-/// Keys are the raw request target (`/path?query`), values are
-/// [`CachedBytes`]. Both layers memoize pure functions of the query, so
-/// there is nothing to invalidate — the layers can evict independently
-/// without any staleness risk; the only coupling is capacity (see DESIGN.md
-/// § "Event-driven serve tier"). Entries are inserted by worker threads
-/// after a cold compute and probed by the reactor thread before dispatch;
-/// hit/miss tallies live in
-/// [`ReactorStats`](crate::metrics::ReactorStats), not here, because the
-/// probe site (the reactor) owns the counters.
-pub struct BytesCache {
-    shards: Vec<Mutex<BytesShard>>,
-    per_shard_capacity: usize,
-    tick: AtomicU64,
-}
-
-impl BytesCache {
-    /// A cache bounded to roughly `capacity` resident responses, spread over
-    /// `shards` independently locked shards.
-    pub fn new(capacity: usize, shards: usize) -> BytesCache {
-        let shards = shards.clamp(1, 64);
-        BytesCache {
-            shards: (0..shards)
-                .map(|_| {
-                    Mutex::new(BytesShard {
-                        map: HashMap::new(),
-                    })
-                })
-                .collect(),
-            per_shard_capacity: capacity.div_ceil(shards).max(1),
-            tick: AtomicU64::new(0),
-        }
-    }
-
-    fn shard_for(&self, target: &str) -> &Mutex<BytesShard> {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        target.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
-    }
-
-    /// Resident responses across shards.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("bytes shard lock").map.len())
-            .sum()
-    }
-
-    /// Is the cache empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Probe for `target`, refreshing its recency on a hit.
-    pub fn get(&self, target: &str) -> Option<Arc<CachedBytes>> {
-        // Relaxed: LRU recency only needs RMW total order (see MemoCache).
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shard_for(target).lock().expect("bytes shard lock");
-        let entry = shard.map.get_mut(target)?;
-        entry.last_used = tick;
-        Some(Arc::clone(&entry.value))
-    }
-
-    /// Insert (or refresh) the pre-rendered response for `target`, evicting
-    /// the least-recently-used entry if the shard is over capacity.
-    pub fn insert(&self, target: String, value: CachedBytes) {
-        // Relaxed: see `get`.
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed);
-        let mut shard = self.shard_for(&target).lock().expect("bytes shard lock");
-        shard.map.insert(
-            target,
-            BytesEntry {
-                value: Arc::new(value),
-                last_used: tick,
-            },
-        );
-        while shard.map.len() > self.per_shard_capacity {
-            let Some(victim) = shard
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            shard.map.remove(&victim);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
 
+    fn json(body: &str) -> CachedBytes {
+        CachedBytes::new("characterize", "application/json", body.to_string())
+    }
+
     #[test]
     fn second_lookup_hits_with_identical_value() {
-        let cache = MemoCache::new(8, 2);
-        let (first, o1) = cache.get_or_compute(42, || Ok("body".into()));
-        let (second, o2) = cache.get_or_compute(42, || Ok("OTHER".into()));
+        let cache = ResponseCache::new(8, 2);
+        let (first, o1) = cache.get_or_compute(42, || Ok(json("body")));
+        let (second, o2) = cache.get_or_compute(42, || Ok(json("OTHER")));
         assert_eq!(o1, Outcome::Miss);
         assert_eq!(o2, Outcome::Hit);
         assert!(Arc::ptr_eq(&first.expect("ok"), &second.expect("ok")));
@@ -473,7 +367,7 @@ mod tests {
 
     #[test]
     fn concurrent_identical_queries_compute_once() {
-        let cache = Arc::new(MemoCache::new(8, 4));
+        let cache = Arc::new(ResponseCache::new(8, 4));
         let computes = Arc::new(AtomicUsize::new(0));
         let mut handles = Vec::new();
         for _ in 0..16 {
@@ -483,107 +377,122 @@ mod tests {
                 let (value, _) = cache.get_or_compute(7, || {
                     computes.fetch_add(1, Ordering::SeqCst);
                     std::thread::sleep(std::time::Duration::from_millis(20));
-                    Ok("expensive".into())
+                    Ok(json("expensive"))
                 });
                 value.expect("ok")
             }));
         }
-        let values: Vec<Arc<String>> = handles
+        let values: Vec<Arc<CachedBytes>> = handles
             .into_iter()
             .map(|h| h.join().expect("join"))
             .collect();
         assert_eq!(computes.load(Ordering::SeqCst), 1, "single-flight");
-        assert!(values.iter().all(|v| v.as_str() == "expensive"));
+        assert!(values.iter().all(|v| v.body == "expensive"));
     }
 
     #[test]
     fn capacity_bound_evicts_lru() {
-        let cache = MemoCache::new(4, 1);
+        let cache = ResponseCache::new(4, 1);
         for key in 0..8u128 {
-            let (v, _) = cache.get_or_compute(key, || Ok(format!("v{key}")));
+            let (v, _) = cache.get_or_compute(key, || Ok(json(&format!("v{key}"))));
             v.expect("ok");
         }
         assert!(cache.len() <= 4, "len {} over capacity", cache.len());
         assert!(cache.stats.evictions.load(Ordering::Relaxed) >= 4);
         // The most recent key is still resident.
-        let (_, outcome) = cache.get_or_compute(7, || Ok("recomputed".into()));
+        let (_, outcome) = cache.get_or_compute(7, || Ok(json("recomputed")));
         assert_eq!(outcome, Outcome::Hit);
     }
 
     #[test]
     fn failed_computes_are_not_cached_and_retry() {
-        let cache = MemoCache::new(8, 1);
+        let cache = ResponseCache::new(8, 1);
         let (r1, _) = cache.get_or_compute(1, || Err("boom".into()));
         assert!(r1.is_err());
-        let (r2, outcome) = cache.get_or_compute(1, || Ok("recovered".into()));
+        let (r2, outcome) = cache.get_or_compute(1, || Ok(json("recovered")));
         assert_eq!(outcome, Outcome::Miss);
-        assert_eq!(r2.expect("ok").as_str(), "recovered");
+        assert_eq!(r2.expect("ok").body, "recovered");
         assert_eq!(cache.stats.failures.load(Ordering::Relaxed), 1);
     }
 
     #[test]
     fn panicking_computes_become_errors() {
-        let cache = MemoCache::new(8, 1);
+        let cache = ResponseCache::new(8, 1);
         let (r, _) = cache.get_or_compute(2, || panic!("kaboom"));
         let err = r.expect_err("panic becomes error");
         assert!(err.contains("kaboom"), "{err}");
         // Cache stays usable.
-        let (r2, _) = cache.get_or_compute(2, || Ok("fine".into()));
-        assert_eq!(r2.expect("ok").as_str(), "fine");
-    }
-
-    fn cached_bytes(endpoint: &'static str, body: &str) -> CachedBytes {
-        let body = Arc::new(body.to_string());
-        CachedBytes {
-            status: 200,
-            endpoint,
-            head_keep_alive: crate::http::render_head(
-                200,
-                body.len(),
-                Some("hit"),
-                "application/json",
-                true,
-            )
-            .into_bytes(),
-            head_close: crate::http::render_head(
-                200,
-                body.len(),
-                Some("hit"),
-                "application/json",
-                false,
-            )
-            .into_bytes(),
-            body,
-        }
+        let (r2, _) = cache.get_or_compute(2, || Ok(json("fine")));
+        assert_eq!(r2.expect("ok").body, "fine");
     }
 
     #[test]
     fn bytes_cache_round_trips_and_shares_the_body() {
-        let cache = BytesCache::new(8, 2);
-        assert!(cache.get("/v1/characterize?domain=nmt").is_none());
-        cache.insert(
-            "/v1/characterize?domain=nmt".to_string(),
-            cached_bytes("characterize", "{\"x\":1}"),
-        );
-        let hit = cache.get("/v1/characterize?domain=nmt").expect("resident");
-        assert_eq!(hit.body.as_str(), "{\"x\":1}");
+        let cache = ResponseCache::new(8, 2);
+        let target = "/v1/characterize?domain=nmt";
+        assert!(cache.get_target(target).is_none());
+        let (value, _) = cache.get_or_compute(3, || Ok(json("{\"x\":1}")));
+        cache.alias(target.to_string(), value.expect("ok"));
+        let hit = cache.get_target(target).expect("resident");
+        assert_eq!(hit.body, "{\"x\":1}");
         assert_eq!(hit.endpoint, "characterize");
+        assert_eq!(hit.status, 200);
         let head = String::from_utf8(hit.head_keep_alive.clone()).expect("utf8");
         assert!(head.contains("x-cache: hit"), "{head}");
         assert!(head.contains("connection: keep-alive"), "{head}");
         assert!(head.contains(&format!("content-length: {}", hit.body.len())));
+        let head = String::from_utf8(hit.head_close.clone()).expect("utf8");
+        assert!(head.contains("connection: close"), "{head}");
     }
 
     #[test]
     fn bytes_cache_evicts_least_recently_used() {
-        let cache = BytesCache::new(4, 1);
+        let cache = ResponseCache::new(4, 1);
+        let value = Arc::new(json("{}"));
         for i in 0..8 {
-            cache.insert(format!("/k{i}"), cached_bytes("characterize", "{}"));
+            cache.alias(format!("/k{i}"), Arc::clone(&value));
             // Keep /k0 hot so the eviction victim is always something else.
-            let _ = cache.get("/k0");
+            let _ = cache.get_target("/k0");
         }
-        assert!(cache.len() <= 4, "len {} over capacity", cache.len());
-        assert!(cache.get("/k0").is_some(), "hot entry survived");
-        assert!(cache.get("/k1").is_none(), "cold entry evicted");
+        assert!(
+            cache.alias_count() <= 4,
+            "aliases {} over capacity",
+            cache.alias_count()
+        );
+        assert!(cache.get_target("/k0").is_some(), "hot alias survived");
+        assert!(cache.get_target("/k1").is_none(), "cold alias evicted");
+    }
+
+    #[test]
+    fn an_alias_and_its_entry_are_one_allocation() {
+        let cache = ResponseCache::new(8, 2);
+        let (value, _) = cache.get_or_compute(5, || Ok(json("{\"y\":2}")));
+        cache.alias("/a".to_string(), value.expect("ok"));
+        cache.alias(
+            "/b".to_string(),
+            cache.get_or_compute(5, || unreachable!()).0.expect("ok"),
+        );
+        let (entry, outcome) = cache.get_or_compute(5, || unreachable!());
+        assert_eq!(outcome, Outcome::Hit);
+        let entry = entry.expect("ok");
+        assert!(Arc::ptr_eq(&entry, &cache.get_target("/a").expect("alias")));
+        assert!(Arc::ptr_eq(&entry, &cache.get_target("/b").expect("alias")));
+    }
+
+    #[test]
+    fn an_alias_serves_after_its_entry_is_evicted() {
+        let cache = ResponseCache::new(1, 1);
+        let (value, _) = cache.get_or_compute(1, || Ok(json("first")));
+        cache.alias("/first".to_string(), value.expect("ok"));
+        cache
+            .get_or_compute(2, || Ok(json("second")))
+            .0
+            .expect("ok");
+        assert_eq!(cache.stats.evictions.load(Ordering::Relaxed), 1);
+        assert_eq!(cache.len(), 1);
+        let hit = cache
+            .get_target("/first")
+            .expect("alias outlives its entry");
+        assert_eq!(hit.body, "first");
     }
 }

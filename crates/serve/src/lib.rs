@@ -9,17 +9,22 @@
 //!
 //! ```text
 //! epoll reactor (one thread: accept, parse, keep-alive, writev)
-//!   ├─ response-bytes cache ──► warm hit: zero-copy writev
-//!   ├─ dynamic endpoints ─────► dispatched inline
-//!   └─ cold computes ─────────► bounded worker pool ──► route dispatch
-//!                                 └─ sharded single-flight memo cache
-//!                                      └─ analysis  (eventfd completes
-//!                                                    back to the reactor)
+//!   ├─ response cache, by raw target ─► warm hit: zero-copy writev
+//!   ├─ dynamic endpoints ─────────────► dispatched inline
+//!   └─ cold computes ─────────────────► bounded worker pool ──► route dispatch
+//!                                         └─ response cache, by QueryKey
+//!                                            (sharded, single-flight)
+//!                                              └─ analysis  (eventfd completes
+//!                                                            back to the reactor)
 //! ```
 //!
-//! Everything is `std`-only: hand-rolled HTTP, JSON, histogram, LRU, and
-//! raw-FFI epoll (see the `reactor` module). See `DESIGN.md` § "Event-driven serve
-//! tier" for the connection state machine and the bytes-cache layering,
+//! One [`cache::ResponseCache`] holds each response once — body and
+//! pre-rendered heads in one allocation — under its `QueryKey`, with a
+//! raw-target alias index sharing the same `Arc` for the reactor's warm
+//! path. Everything is `std`-only: hand-rolled HTTP, JSON, histogram, and
+//! raw-FFI epoll (see the `reactor` module); the LRU is `analysis::Lru`.
+//! See `DESIGN.md` § "Event-driven serve tier" for the connection state
+//! machine and the response cache,
 //! § "Serving layer" for cache keying and shutdown semantics, and
 //! § "Telemetry plane" for the metric registry, the request-scoped trace
 //! context, and the flight recorder threaded through every request.
@@ -47,7 +52,7 @@ use std::time::{Duration, Instant};
 use obs::metrics::Registry;
 use roofline::Accelerator;
 
-use cache::{BytesCache, MemoCache};
+use cache::ResponseCache;
 use flight::{FlightRecorder, RequestRecord};
 use metrics::{Metrics, ReactorStats};
 use pool::{QueueWatcher, WorkerPool};
@@ -65,8 +70,8 @@ pub struct ServeConfig {
     pub addr: String,
     /// Worker threads handling cold computes.
     pub threads: usize,
-    /// Memoization cache capacity, in resident response bodies. The
-    /// response-bytes cache sizes itself to match.
+    /// Response-cache capacity: the bound on resident responses, and
+    /// separately on the raw-target aliases that point at them.
     pub cache_entries: usize,
     /// Bounded queue depth between the reactor and the workers.
     pub queue_depth: usize,
@@ -94,14 +99,13 @@ impl Default for ServeConfig {
     }
 }
 
-/// Shared server state: the two cache layers, the telemetry plane
+/// Shared server state: the response cache, the telemetry plane
 /// (registry, metrics, flight recorder, reactor stats), and the reference
 /// accelerator all roofline-derived endpoints price against.
 pub struct AppState {
-    /// Memoized response bodies (result cache: single-flight, sharded).
-    pub cache: MemoCache,
-    /// Pre-serialized responses (bytes cache: head + body, zero re-encode).
-    pub bytes: BytesCache,
+    /// Memoized, pre-serialized responses: one allocation each, found by
+    /// `QueryKey` (single-flight, sharded) or by raw-target alias.
+    pub cache: ResponseCache,
     /// Metric registry backing both `/metrics` and `/v1/metrics`.
     pub registry: Arc<Registry>,
     /// Request counters and latency histogram (registry-backed).
@@ -156,8 +160,7 @@ impl Server {
         let registry = Arc::new(Registry::new());
         let metrics = Metrics::new(&registry);
         let state = Arc::new(AppState {
-            cache: MemoCache::new(config.cache_entries.max(1), shards),
-            bytes: BytesCache::new(config.cache_entries.max(1), shards),
+            cache: ResponseCache::new(config.cache_entries.max(1), shards),
             registry,
             metrics,
             reactor: ReactorStats::default(),
@@ -276,7 +279,7 @@ fn register_external_series(state: &Arc<AppState>) {
         let weak = Arc::downgrade(state);
         r.gauge_fn(
             "frontier_cache_entries",
-            "Resident values in the memo cache.",
+            "Resident responses in the response cache.",
             move || weak.upgrade().map_or(0.0, |s| s.cache.len() as f64),
         );
     }
@@ -284,11 +287,11 @@ fn register_external_series(state: &Arc<AppState>) {
         let weak = Arc::downgrade(state);
         r.gauge_fn(
             "frontier_cache_capacity",
-            "Nominal memo-cache capacity in values.",
+            "Nominal response-cache capacity in responses.",
             move || weak.upgrade().map_or(0.0, |s| s.cache.capacity() as f64),
         );
     }
-    // Reactor plane (ISSUE 8): connection accounting, bytes-cache
+    // Reactor plane: connection accounting, raw-target cache
     // effectiveness, event-loop health.
     {
         let weak = Arc::downgrade(state);
@@ -308,12 +311,12 @@ fn register_external_series(state: &Arc<AppState>) {
     );
     r.counter_fn(
         "serve_bytes_cache_hits_total",
-        "Requests answered from the pre-serialized response-bytes cache.",
+        "Requests answered by raw target from the pre-serialized response cache.",
         w(|s| s.reactor.bytes_cache_hits.load(Relaxed)),
     );
     r.counter_fn(
         "serve_bytes_cache_misses_total",
-        "Cacheable requests that missed the bytes cache.",
+        "Cacheable requests whose raw target had no cached response.",
         w(|s| s.reactor.bytes_cache_misses.load(Relaxed)),
     );
     r.counter_fn(
@@ -325,8 +328,8 @@ fn register_external_series(state: &Arc<AppState>) {
         let weak = Arc::downgrade(state);
         r.gauge_fn(
             "serve_bytes_cache_entries",
-            "Pre-serialized responses resident in the bytes cache.",
-            move || weak.upgrade().map_or(0.0, |s| s.bytes.len() as f64),
+            "Raw-target aliases resident in the response cache.",
+            move || weak.upgrade().map_or(0.0, |s| s.cache.alias_count() as f64),
         );
     }
     {
@@ -494,8 +497,7 @@ mod tests {
         let registry = Arc::new(Registry::new());
         let metrics = Metrics::new(&registry);
         Arc::new(AppState {
-            cache: MemoCache::new(8, 1),
-            bytes: BytesCache::new(8, 1),
+            cache: ResponseCache::new(8, 1),
             registry,
             metrics,
             reactor: ReactorStats::default(),

@@ -105,7 +105,7 @@ impl Metrics {
     }
 }
 
-/// Reactor-plane instruments: connection accounting, response-bytes-cache
+/// Reactor-plane instruments: connection accounting, raw-target cache
 /// effectiveness, and event-loop health. These live as plain atomics (the
 /// reactor thread bumps them on its hot path; a registry `Counter` handle
 /// would work too, but the atomics keep the reactor free of `Arc` clones
@@ -119,9 +119,10 @@ pub struct ReactorStats {
     /// Responses served on a connection that had already served at least
     /// one (keep-alive connection reuse).
     pub keepalive_reuses: AtomicU64,
-    /// Requests answered from the pre-serialized response-bytes cache.
+    /// Requests answered by raw-target alias from the response cache.
     pub bytes_cache_hits: AtomicU64,
-    /// Cacheable requests that missed the bytes cache (cold computes).
+    /// Cacheable requests whose raw target had no alias (sent to the
+    /// worker pool).
     pub bytes_cache_misses: AtomicU64,
     /// `epoll_wait` returns that delivered at least one event.
     pub epoll_wakeups: AtomicU64,

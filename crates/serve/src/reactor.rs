@@ -10,7 +10,7 @@
 //! ```text
 //! epoll_wait ──► accept (non-blocking, TCP_NODELAY)
 //!            ──► readable: buffer bytes ─► incremental parse ─► per request:
-//!                  bytes-cache hit  ─► writev(head, body) [reactor inline]
+//!                  cache target hit ─► writev(head, body) [reactor inline]
 //!                  dynamic endpoint ─► dispatch inline ─► write
 //!                  cold compute     ─► worker pool ─► completion + eventfd
 //!            ──► writable: resume partial writes (backpressure)
@@ -46,7 +46,7 @@ use crate::cache::CachedBytes;
 use crate::http::{self, Feed, HttpError, ParsedHead};
 use crate::pool::WorkerPool;
 use crate::query::ApiError;
-use crate::routes;
+use crate::routes::{self, Body};
 use crate::signal;
 use crate::trace::{elapsed_us, RequestTrace, Stage};
 use crate::{AppState, RequestGuard};
@@ -624,7 +624,7 @@ impl Reactor {
         }
     }
 
-    /// Serve one parsed request: bytes-cache hit and dynamic endpoints
+    /// Serve one parsed request: raw-target cache hit and dynamic endpoints
     /// inline on the reactor thread; cold cacheable computes at the pool.
     fn begin_request(&mut self, token: u64, head: ParsedHead, started: Instant) {
         let state = Arc::clone(&self.state);
@@ -646,16 +646,13 @@ impl Reactor {
         let cacheable = bytes_cacheable(&head.req.path, &head.req.query);
         if cacheable {
             let probe_start = Instant::now();
-            if let Some(entry) = state.bytes.get(&target) {
+            if let Some(entry) = state.cache.get_target(&target) {
                 guard.trace.add(Stage::CacheLookup, elapsed_us(probe_start));
-                // Relaxed: standalone monotone tallies.
+                // Relaxed: standalone monotone tally.
                 state
                     .reactor
                     .bytes_cache_hits
                     .fetch_add(1, Ordering::Relaxed);
-                // A bytes hit is still a cache hit for the layered cache
-                // plane: the result cache's value is what these bytes hold.
-                state.cache.stats.hits.fetch_add(1, Ordering::Relaxed);
                 state.metrics.record_endpoint(entry.endpoint);
                 guard.endpoint = entry.endpoint;
                 guard.status = entry.status;
@@ -685,7 +682,7 @@ impl Reactor {
             let close = !keep_alive || routed.status >= 400;
             let bytes = http::render_response(
                 routed.status,
-                &routed.body,
+                routed.body.as_str(),
                 routed.cache_state,
                 routed.content_type,
                 !close,
@@ -926,7 +923,7 @@ fn pool_routed(path: &str) -> bool {
     )
 }
 
-/// Is this request admissible to the response-bytes cache? Memoized
+/// May this request's raw target alias a cached response? Memoized
 /// endpoints only, and never with a `debug` parameter (those responses
 /// carry per-request timing blocks). Percent-encoded queries are skipped
 /// conservatively — `%64ebug` decodes to `debug` and must not alias a
@@ -1080,39 +1077,19 @@ impl ColdJob {
         guard.status = routed.status;
         guard.cache_state = routed.cache_state;
         let close = !self.keep_alive || routed.status >= 400;
-        if self.cacheable && routed.status == 200 && routed.cache_state.is_some() {
-            // Admit to the bytes cache: share the body, pre-render both
-            // head dispositions with `x-cache: hit` so a warm hit is a
-            // single writev with zero re-encode.
-            let body = Arc::new(routed.body.clone());
-            state.bytes.insert(
-                self.target.clone(),
-                CachedBytes {
-                    status: routed.status,
-                    endpoint: routed.endpoint,
-                    head_keep_alive: http::render_head(
-                        routed.status,
-                        body.len(),
-                        Some("hit"),
-                        routed.content_type,
-                        true,
-                    )
-                    .into_bytes(),
-                    head_close: http::render_head(
-                        routed.status,
-                        body.len(),
-                        Some("hit"),
-                        routed.content_type,
-                        false,
-                    )
-                    .into_bytes(),
-                    body,
-                },
-            );
+        match &routed.body {
+            Body::Cached(entry) if self.cacheable && routed.status == 200 => {
+                // Alias the cached response under this raw target: the next
+                // identical request is answered by the reactor's warm path.
+                state
+                    .cache
+                    .alias(std::mem::take(&mut self.target), Arc::clone(entry));
+            }
+            _ => {}
         }
         let bytes = http::render_response(
             routed.status,
-            &routed.body,
+            routed.body.as_str(),
             routed.cache_state,
             routed.content_type,
             !close,
@@ -1185,13 +1162,12 @@ mod tests {
 
     #[test]
     fn payload_slices_resume_across_the_head_body_boundary() {
-        let body = Arc::new("0123456789".to_string());
         let entry = Arc::new(CachedBytes {
             status: 200,
             endpoint: "characterize",
             head_keep_alive: b"HEAD".to_vec(),
             head_close: b"HEADC".to_vec(),
-            body,
+            body: "0123456789".to_string(),
         });
         let payload = Payload::Cached {
             entry,
@@ -1216,7 +1192,7 @@ mod tests {
             endpoint: "characterize",
             head_keep_alive: b"KA".to_vec(),
             head_close: b"CLOSE".to_vec(),
-            body: Arc::new("body".to_string()),
+            body: "body".to_string(),
         });
         let payload = Payload::Cached {
             entry,

@@ -1,13 +1,18 @@
 //! Endpoint handlers: URL → (validated query) → memoized analysis → JSON.
 //!
 //! Expensive endpoints (`characterize`, `sweep`, `project`, `subbatch`,
-//! `plan*`, `infer/*`) run through the [`MemoCache`](crate::cache::MemoCache)
-//! keyed by [`frontier::QueryKey`], so a repeat query is a hash lookup
-//! returning the byte-identical body. A miss on `characterize`, `sweep` or
+//! `plan*`, `infer/*`) run through the
+//! [`ResponseCache`](crate::cache::ResponseCache) keyed by
+//! [`frontier::QueryKey`], so a repeat query is a hash lookup returning the
+//! byte-identical response. The compute renders that response once — body
+//! and both `x-cache: hit` heads, one [`CachedBytes`] — and [`Routed`]
+//! hands the same `Arc` to the reactor, which aliases it under the raw
+//! request target for its warm path. A miss on `characterize`, `sweep` or
 //! `plan*` is priced by the process-wide [`analysis::FamilyEngine`]
 //! and one on `infer/*` by [`InferEngine`]: cached symbolic families, no
 //! per-request graph rebuild. `healthz` and `metrics` are always live.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use analysis::{
@@ -20,7 +25,7 @@ use parsim::{InferPlanPoint, ModelParallelism, Plan, SearchPoint, SloTarget};
 use roofline::Accelerator;
 use scaling::scaling_for;
 
-use crate::cache::Outcome;
+use crate::cache::{CachedBytes, Outcome};
 use crate::http::Request;
 use crate::json::Json;
 use crate::query::{ApiError, Query};
@@ -63,12 +68,31 @@ const MAX_SLO_MS: f64 = 1e9;
 /// One endpoint's handler function.
 type Handler = fn(&AppState, &Query, &mut RequestTrace) -> Result<Routed, ApiError>;
 
+/// A response body: rendered for this request alone, or the cache's shared
+/// pre-rendered response.
+pub enum Body {
+    /// Rendered for this request (dynamic endpoints, errors, debug output).
+    Owned(String),
+    /// A memoized response: the same allocation the cache holds.
+    Cached(Arc<CachedBytes>),
+}
+
+impl Body {
+    /// The body text.
+    pub fn as_str(&self) -> &str {
+        match self {
+            Body::Owned(body) => body,
+            Body::Cached(entry) => &entry.body,
+        }
+    }
+}
+
 /// A routed response, ready to serialize.
 pub struct Routed {
     /// HTTP status.
     pub status: u16,
     /// Response body.
-    pub body: String,
+    pub body: Body,
     /// `hit` / `miss` / `coalesced` for cacheable endpoints.
     pub cache_state: Option<&'static str>,
     /// Endpoint label for metrics.
@@ -81,7 +105,7 @@ impl Routed {
     fn ok(body: String, endpoint: &'static str) -> Routed {
         Routed {
             status: 200,
-            body,
+            body: Body::Owned(body),
             cache_state: None,
             endpoint,
             content_type: "application/json",
@@ -91,7 +115,7 @@ impl Routed {
     fn err(e: &ApiError, endpoint: &'static str) -> Routed {
         Routed {
             status: e.status,
-            body: e.body().render(),
+            body: Body::Owned(e.body().render()),
             cache_state: None,
             endpoint,
             content_type: "application/json",
@@ -166,7 +190,7 @@ fn augment_with_timings(routed: &mut Routed, trace: &mut RequestTrace) {
         return;
     }
     let reparse_start = Instant::now();
-    let Ok(doc) = Json::parse(&routed.body) else {
+    let Ok(doc) = Json::parse(routed.body.as_str()) else {
         return;
     };
     trace.add(Stage::Serialize, elapsed_us(reparse_start));
@@ -179,11 +203,11 @@ fn augment_with_timings(routed: &mut Routed, trace: &mut RequestTrace) {
         )
         .set("total_us", trace.elapsed_us());
     let render_start = Instant::now();
-    routed.body = doc.set("debug", debug).render();
+    routed.body = Body::Owned(doc.set("debug", debug).render());
     trace.add(Stage::Serialize, elapsed_us(render_start));
 }
 
-/// Run `render` through the memo cache under `key`, crediting lookup,
+/// Run `render` through the response cache under `key`, crediting lookup,
 /// single-flight wait, compute, and serialization to the trace context.
 fn memoized(
     state: &AppState,
@@ -196,9 +220,9 @@ fn memoized(
     let (result, outcome, timing) = state.cache.get_or_compute_timed(key.hash128(), || {
         let doc = render();
         let serialize_start = Instant::now();
-        let body = doc.render();
+        let bytes = CachedBytes::new(endpoint, "application/json", doc.render());
         serialize_us.set(elapsed_us(serialize_start));
-        Ok(body)
+        Ok(bytes)
     });
     trace.add(Stage::CacheLookup, timing.lookup_us);
     trace.add(Stage::SingleFlightWait, timing.wait_us);
@@ -213,9 +237,9 @@ fn memoized(
         Outcome::Coalesced => "coalesced",
     };
     match result {
-        Ok(body) => Ok(Routed {
+        Ok(entry) => Ok(Routed {
             status: 200,
-            body: body.as_str().to_string(),
+            body: Body::Cached(entry),
             cache_state: Some(cache_state),
             endpoint,
             content_type: "application/json",
@@ -1138,7 +1162,7 @@ fn metrics_route(
                 )
                 .set(
                     "bytes_cache_entries",
-                    u64::try_from(state.bytes.len()).unwrap_or(0),
+                    u64::try_from(state.cache.alias_count()).unwrap_or(0),
                 )
                 .set(
                     "bytes_cache_hits",
@@ -1219,7 +1243,7 @@ fn metrics_text_route(
     trace.add(Stage::Serialize, elapsed_us(serialize_start));
     Ok(Routed {
         status: 200,
-        body,
+        body: Body::Owned(body),
         cache_state: None,
         endpoint: "metrics_text",
         content_type: PROMETHEUS_CONTENT_TYPE,

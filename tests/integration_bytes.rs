@@ -112,7 +112,7 @@ fn cached_bytes_are_identical_to_fresh_serialization_on_every_endpoint() {
         "every repeat was served from the bytes cache"
     );
     assert_eq!(
-        state.bytes.len(),
+        state.cache.alias_count(),
         CACHEABLE.len(),
         "each endpoint admitted exactly one pre-serialized entry"
     );
@@ -161,8 +161,36 @@ fn debug_requests_bypass_the_bytes_cache() {
         "debug responses are per-request and never served from bytes"
     );
     assert_eq!(
-        state.bytes.len(),
+        state.cache.alias_count(),
         0,
         "debug responses are never admitted to the bytes cache"
+    );
+}
+
+#[test]
+fn two_spellings_of_one_query_share_one_cached_response() {
+    let server = test_server();
+    let addr = server.local_addr();
+    let (status, first_head, first_body) =
+        exchange(addr, "GET", "/v1/characterize?domain=wordlm&subbatch=16");
+    assert_eq!(status, 200, "{first_body}");
+    assert_eq!(x_cache(&first_head).as_deref(), Some("miss"));
+    for _ in 0..2 {
+        let (status, head, body) =
+            exchange(addr, "GET", "/v1/characterize?subbatch=16&domain=wordlm");
+        assert_eq!(status, 200, "{body}");
+        assert_eq!(x_cache(&head).as_deref(), Some("hit"));
+        assert_eq!(body, first_body, "reordered query answers the same bytes");
+    }
+    let state = server.state();
+    assert_eq!(
+        state.cache.stats.misses.load(Ordering::Relaxed),
+        1,
+        "the query-key layer computed once for both spellings"
+    );
+    assert_eq!(
+        state.reactor.bytes_cache_hits.load(Ordering::Relaxed),
+        1,
+        "only the repeat of the second spelling hit by raw target"
     );
 }
