@@ -29,10 +29,7 @@ use std::time::Instant;
 use analysis::{
     characterize_infer, infer_search_space, InferConfig, InferEngine, InferPlanRequest,
 };
-use parsim::{
-    enumerate_infer_naive, infer_argmin_point, infer_pareto_frontier_reference, infer_search,
-    SloTarget,
-};
+use parsim::{enumerate_infer_naive, infer_search, SloTarget};
 use serve::flags::Flags;
 use serve::json::Json;
 
@@ -168,38 +165,15 @@ fn run_search(tpot_s: f64, ttft_s: f64, target_tokens_per_s: f64, reps: u32) -> 
     );
     let space = infer_search_space(&req);
 
-    // Brute arm: the full deliverable — feasible set, frontier, argmin —
-    // through the reference operators.
-    let brute = |space: &parsim::InferSearchSpace| {
-        let feasible = enumerate_infer_naive(space);
-        let pareto = infer_pareto_frontier_reference(&feasible);
-        let best = infer_argmin_point(&feasible);
-        (feasible, pareto, best)
-    };
-
-    // One untimed pass each for the equivalence gate.
-    let result = infer_search(&space);
-    let (feasible, pareto, best) = brute(&space);
-    let identical = result.feasible == feasible && result.pareto == pareto && result.best == best;
-    if !identical {
+    let race = bench::search_race(&space, reps, enumerate_infer_naive, infer_search);
+    if !race.identical {
         eprintln!(
             "inferbench: tpot {} ms: pruned SLO search diverges from naive enumeration",
             tpot_s * 1e3
         );
     }
 
-    let naive_start = Instant::now();
-    for _ in 0..reps {
-        std::hint::black_box(brute(std::hint::black_box(&space)));
-    }
-    let naive_ms = naive_start.elapsed().as_secs_f64() * 1e3;
-    let pruned_start = Instant::now();
-    for _ in 0..reps {
-        std::hint::black_box(infer_search(std::hint::black_box(&space)));
-    }
-    let pruned_ms = pruned_start.elapsed().as_secs_f64() * 1e3;
-
-    let s = &result.stats;
+    let s = &race.result.stats;
     SearchRun {
         tpot_ms: tpot_s * 1e3,
         ttft_ms: ttft_s * 1e3,
@@ -207,10 +181,10 @@ fn run_search(tpot_s: f64, ttft_s: f64, target_tokens_per_s: f64, reps: u32) -> 
         considered: s.considered,
         evaluated: s.evaluated,
         pruned: s.pruned_memory + s.pruned_latency + s.pruned_over_cap,
-        feasible: result.feasible.len(),
-        naive_ms,
-        pruned_ms,
-        identical,
+        feasible: race.result.feasible.len(),
+        naive_ms: race.naive_ms,
+        pruned_ms: race.pruned_ms,
+        identical: race.identical,
     }
 }
 

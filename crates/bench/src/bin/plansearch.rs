@@ -24,13 +24,10 @@
 //! `--summary PATH` writes the numbers as JSON (see `BENCH_plansearch.json`).
 
 use std::process::ExitCode;
-use std::time::Instant;
 
 use analysis::PlanSearchRequest;
 use modelzoo::Domain;
-use parsim::{
-    argmin_point, enumerate_naive, pareto_frontier_reference, search, SearchPoint, SearchSpace,
-};
+use parsim::{enumerate_naive, search, SearchSpace};
 use serve::flags::Flags;
 use serve::json::Json;
 
@@ -62,48 +59,25 @@ fn run_space(domain: Domain, days: f64, reps: u32) -> SpaceRun {
     req.microbatches = vec![1, 2, 4, 8, 16, 32];
     let space: SearchSpace = analysis::plan_search_space(&req);
 
-    // Brute arm: the full deliverable — feasible set, frontier, argmin —
-    // through the reference operators.
-    let brute = |space: &SearchSpace| {
-        let feasible: Vec<SearchPoint> = enumerate_naive(space);
-        let pareto = pareto_frontier_reference(&feasible);
-        let best = argmin_point(&feasible);
-        (feasible, pareto, best)
-    };
-
-    // One untimed pass each for the equivalence gate.
-    let result = search(&space);
-    let (feasible, pareto, best) = brute(&space);
-    let identical = result.feasible == feasible && result.pareto == pareto && result.best == best;
-    if !identical {
+    let race = bench::search_race(&space, reps, enumerate_naive, search);
+    if !race.identical {
         eprintln!(
             "plansearch: {} days={days}: pruned search diverges from naive enumeration",
             domain.key()
         );
     }
 
-    let naive_start = Instant::now();
-    for _ in 0..reps {
-        std::hint::black_box(brute(std::hint::black_box(&space)));
-    }
-    let naive_ms = naive_start.elapsed().as_secs_f64() * 1e3;
-    let pruned_start = Instant::now();
-    for _ in 0..reps {
-        std::hint::black_box(search(std::hint::black_box(&space)));
-    }
-    let pruned_ms = pruned_start.elapsed().as_secs_f64() * 1e3;
-
-    let s = &result.stats;
+    let s = &race.result.stats;
     SpaceRun {
         domain,
         days,
         considered: s.considered,
         evaluated: s.evaluated,
         pruned: s.pruned_memory + s.pruned_over_cap + s.pruned_comm_bound,
-        feasible: result.feasible.len(),
-        naive_ms,
-        pruned_ms,
-        identical,
+        feasible: race.result.feasible.len(),
+        naive_ms: race.naive_ms,
+        pruned_ms: race.pruned_ms,
+        identical: race.identical,
     }
 }
 

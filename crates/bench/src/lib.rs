@@ -1,6 +1,9 @@
-//! Shared report plumbing for the table/figure regenerators.
+//! Shared report plumbing for the table/figure regenerators, and the
+//! brute-vs-pruned race of the `plansearch` and `inferbench` gates.
 
 #![warn(missing_docs)]
+
+use std::time::Instant;
 
 /// A simple fixed-width text table.
 pub struct Table {
@@ -88,6 +91,62 @@ pub fn times(value: f64) -> String {
         format!("{value:.0}x")
     } else {
         format!("{value:.1}x")
+    }
+}
+
+/// One brute-vs-pruned plan-search race (see [`search_race`]).
+pub struct SearchRace<P, S> {
+    /// The pruned search's answer.
+    pub result: parsim::LatticeResult<P, S>,
+    /// Feasible set, frontier and argmin all equal the brute arm's.
+    pub identical: bool,
+    /// Wall time of `reps` brute passes, ms.
+    pub naive_ms: f64,
+    /// Wall time of `reps` pruned passes, ms.
+    pub pruned_ms: f64,
+}
+
+/// Race a pruned lattice search against its naive oracle on one space.
+///
+/// The brute arm builds the full deliverable — feasible set, frontier,
+/// argmin — from `naive` through the core's reference operators. One
+/// untimed pass of each arm feeds the equivalence gate; then `reps` brute
+/// passes and `reps` pruned passes are timed.
+pub fn search_race<Sp, P, S>(
+    space: &Sp,
+    reps: u32,
+    naive: impl Fn(&Sp) -> Vec<P>,
+    pruned: impl Fn(&Sp) -> parsim::LatticeResult<P, S>,
+) -> SearchRace<P, S>
+where
+    P: parsim::Ranked + PartialEq,
+{
+    let brute = |space: &Sp| {
+        let feasible = naive(space);
+        let pareto = parsim::pareto_frontier_reference(&feasible);
+        let best = parsim::argmin_point(&feasible);
+        (feasible, pareto, best)
+    };
+
+    let result = pruned(space);
+    let (feasible, pareto, best) = brute(space);
+    let identical = result.feasible == feasible && result.pareto == pareto && result.best == best;
+
+    let naive_start = Instant::now();
+    for _ in 0..reps {
+        std::hint::black_box(brute(std::hint::black_box(space)));
+    }
+    let naive_ms = naive_start.elapsed().as_secs_f64() * 1e3;
+    let pruned_start = Instant::now();
+    for _ in 0..reps {
+        std::hint::black_box(pruned(std::hint::black_box(space)));
+    }
+    let pruned_ms = pruned_start.elapsed().as_secs_f64() * 1e3;
+    SearchRace {
+        result,
+        identical,
+        naive_ms,
+        pruned_ms,
     }
 }
 

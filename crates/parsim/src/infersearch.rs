@@ -43,12 +43,15 @@
 //! comparison, so hoisting it would require a monotonicity argument the
 //! bit-identity contract doesn't need).
 //!
-//! Point evaluation ([`infer_plan_point`]) is one shared code path, and the
-//! Pareto frontier reuses the training search's sorted-sweep construction
-//! against an all-pairs reference oracle.
+//! Point evaluation ([`infer_plan_point`]) is one shared code path. The
+//! frontier (the training search's sorted sweep, checked against its
+//! all-pairs reference), argmin, cap cut and result type are the shared
+//! [`lattice`](crate::lattice) core; profiles are walked sequentially.
 
 use roofline::Accelerator;
 use serde::{Deserialize, Serialize};
+
+use crate::lattice::{assert_ascending, cap_cut, fits_cap, LatticeResult, Ranked};
 
 /// One serving candidate: an accelerator running one model replica at one
 /// decode batch size, characterized and roofline-priced upstream (see
@@ -132,21 +135,28 @@ pub struct InferSearchStats {
     pub pruned_over_cap: u64,
 }
 
-/// Everything the serving search returns.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct InferSearchResult {
-    /// Every feasible point, in canonical enumeration order (profile →
-    /// ascending replicas).
-    pub feasible: Vec<InferPlanPoint>,
-    /// Non-dominated subset of `feasible` under minimizing
-    /// `(total_accelerators, p99_token_seconds, mem_per_accel_gb)`, in
-    /// canonical order.
-    pub pareto: Vec<InferPlanPoint>,
-    /// Argmin: fewest total accelerators, ties broken by higher aggregate
-    /// throughput, then canonical order.
-    pub best: Option<InferPlanPoint>,
-    /// Enumeration counters.
-    pub stats: InferSearchStats,
+/// Everything the serving search returns; the argmin's tie-break among
+/// equal fleets is higher aggregate throughput.
+pub type InferSearchResult = LatticeResult<InferPlanPoint, InferSearchStats>;
+
+impl Ranked for InferPlanPoint {
+    type Objectives = (u64, f64, f64);
+
+    fn objectives(&self) -> (u64, f64, f64) {
+        (
+            self.total_accelerators,
+            self.p99_token_seconds,
+            self.mem_per_accel_gb,
+        )
+    }
+
+    fn total_accelerators(&self) -> u64 {
+        self.total_accelerators
+    }
+
+    fn tie_break(&self) -> f64 {
+        self.tokens_per_s
+    }
 }
 
 /// Price one lattice point: `replicas` copies of `profile`. The single
@@ -179,7 +189,7 @@ pub fn enumerate_infer_naive(space: &InferSearchSpace) -> Vec<InferPlanPoint> {
     for profile in &space.profiles {
         let usable = profile.accel.mem_capacity * space.usable_mem_fraction;
         for &replicas in &space.replica_candidates {
-            if replicas > space.max_total_accelerators {
+            if !fits_cap(replicas, 1, space.max_total_accelerators) {
                 continue;
             }
             let point = infer_plan_point(profile, replicas);
@@ -195,90 +205,14 @@ pub fn enumerate_infer_naive(space: &InferSearchSpace) -> Vec<InferPlanPoint> {
     out
 }
 
-/// Does `p` dominate `q` under minimizing
-/// `(total_accelerators, p99_token_seconds, mem_per_accel_gb)`?
-fn dominates(p: &InferPlanPoint, q: &InferPlanPoint) -> bool {
-    p.total_accelerators <= q.total_accelerators
-        && p.p99_token_seconds <= q.p99_token_seconds
-        && p.mem_per_accel_gb <= q.mem_per_accel_gb
-        && (p.total_accelerators < q.total_accelerators
-            || p.p99_token_seconds < q.p99_token_seconds
-            || p.mem_per_accel_gb < q.mem_per_accel_gb)
-}
-
-/// The non-dominated subset by definition: compare every pair. Quadratic;
-/// kept as the oracle for [`infer_pareto_frontier`].
-pub fn infer_pareto_frontier_reference(points: &[InferPlanPoint]) -> Vec<InferPlanPoint> {
-    points
-        .iter()
-        .filter(|p| !points.iter().any(|q| dominates(q, p)))
-        .cloned()
-        .collect()
-}
-
-/// The non-dominated subset, preserving order — the training search's
-/// sorted-sweep construction (lexicographic order on the objective triple
-/// puts every dominator before anything it dominates; domination is
-/// transitive). Output identical to the all-pairs reference.
-pub fn infer_pareto_frontier(points: &[InferPlanPoint]) -> Vec<InferPlanPoint> {
-    let mut order: Vec<u32> = (0..points.len() as u32).collect();
-    order.sort_by(|&i, &j| {
-        let (a, b) = (&points[i as usize], &points[j as usize]);
-        a.total_accelerators
-            .cmp(&b.total_accelerators)
-            .then(a.p99_token_seconds.total_cmp(&b.p99_token_seconds))
-            .then(a.mem_per_accel_gb.total_cmp(&b.mem_per_accel_gb))
-    });
-    let mut frontier: Vec<u32> = Vec::new();
-    let mut on_frontier = vec![false; points.len()];
-    for &i in &order {
-        let p = &points[i as usize];
-        if !frontier.iter().any(|&f| dominates(&points[f as usize], p)) {
-            frontier.push(i);
-            on_frontier[i as usize] = true;
-        }
-    }
-    points
-        .iter()
-        .zip(&on_frontier)
-        .filter(|(_, &keep)| keep)
-        .map(|(p, _)| p.clone())
-        .collect()
-}
-
-/// Selection criterion over an arbitrary point set: fewest total
-/// accelerators, ties broken by higher aggregate throughput, remaining ties
-/// by enumeration order.
-pub fn infer_argmin_point(points: &[InferPlanPoint]) -> Option<InferPlanPoint> {
-    let mut best: Option<&InferPlanPoint> = None;
-    for p in points {
-        let better = match best {
-            None => true,
-            Some(b) => {
-                p.total_accelerators < b.total_accelerators
-                    || (p.total_accelerators == b.total_accelerators
-                        && p.tokens_per_s > b.tokens_per_s)
-            }
-        };
-        if better {
-            best = Some(p);
-        }
-    }
-    best.cloned()
-}
-
 /// Search the serving space with pruning. Bit-identical to
 /// [`enumerate_infer_naive`] (see the module docs for why each prune is
-/// exact). Serving lattices are small (registry × batch ladder × replica
-/// ladder), so profiles are walked sequentially — determinism for free.
+/// exact).
 pub fn infer_search(space: &InferSearchSpace) -> InferSearchResult {
     let mut span = obs::span("parsim.infer_search")
         .with_arg("profiles", space.profiles.len() as u64)
         .with_arg("replicas", space.replica_candidates.len() as u64);
-    assert!(
-        space.replica_candidates.windows(2).all(|w| w[0] < w[1]),
-        "replica candidates must ascend strictly"
-    );
+    assert_ascending(&space.replica_candidates, "replica");
     let mut stats = InferSearchStats::default();
     let mut feasible = Vec::new();
     for profile in &space.profiles {
@@ -297,13 +231,11 @@ pub fn infer_search(space: &InferSearchSpace) -> InferSearchResult {
             stats.pruned_latency += candidates;
             continue;
         }
-        for (i, &replicas) in space.replica_candidates.iter().enumerate() {
-            // Cap prune: candidates ascend, so the first overflow ends the
-            // ladder.
-            if replicas > space.max_total_accelerators {
-                stats.pruned_over_cap += candidates - i as u64;
-                break;
-            }
+        // Cap prune: candidates ascend, so the first overflow ends the
+        // ladder.
+        let in_cap = cap_cut(&space.replica_candidates, 1, space.max_total_accelerators);
+        stats.pruned_over_cap += candidates - in_cap.len() as u64;
+        for &replicas in in_cap {
             stats.evaluated += 1;
             let point = infer_plan_point(profile, replicas);
             // Throughput demand: identical filter to the naive path.
@@ -318,19 +250,13 @@ pub fn infer_search(space: &InferSearchSpace) -> InferSearchResult {
     span.arg("pruned_memory", stats.pruned_memory);
     span.arg("pruned_latency", stats.pruned_latency);
     span.arg("pruned_over_cap", stats.pruned_over_cap);
-    let pareto = infer_pareto_frontier(&feasible);
-    let best = infer_argmin_point(&feasible);
-    InferSearchResult {
-        feasible,
-        pareto,
-        best,
-        stats,
-    }
+    InferSearchResult::new(feasible, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lattice::{dominates, pareto_frontier_reference};
 
     fn gb(x: f64) -> f64 {
         x * 1e9
@@ -408,10 +334,7 @@ mod tests {
     #[test]
     fn pareto_and_argmin_are_consistent() {
         let result = infer_search(&toy_space());
-        assert_eq!(
-            result.pareto,
-            infer_pareto_frontier_reference(&result.feasible)
-        );
+        assert_eq!(result.pareto, pareto_frontier_reference(&result.feasible));
         for p in &result.pareto {
             assert!(!result.pareto.iter().any(|q| dominates(q, p)));
         }

@@ -18,6 +18,7 @@ mod allreduce;
 mod compression;
 mod dataparallel;
 mod infersearch;
+mod lattice;
 mod modelparallel;
 mod pipeline_des;
 mod planner;
@@ -34,9 +35,12 @@ pub use dataparallel::{
     workers_for_epoch_target, ScalePoint, WorkerStep,
 };
 pub use infersearch::{
-    enumerate_infer_naive, infer_argmin_point, infer_pareto_frontier,
-    infer_pareto_frontier_reference, infer_plan_point, infer_search, InferPlanPoint, InferProfile,
+    enumerate_infer_naive, infer_plan_point, infer_search, InferPlanPoint, InferProfile,
     InferSearchResult, InferSearchSpace, InferSearchStats, SloTarget,
+};
+pub use lattice::{
+    argmin_point, argmin_point as infer_argmin_point, pareto_frontier, pareto_frontier_reference,
+    Axis, LatticeResult, Objectives, Ranked,
 };
 pub use modelparallel::{
     layer_parallel_plan, peak_footprint, shard_largest_weight, waterfill_largest_weight,
@@ -48,9 +52,8 @@ pub use pipeline_des::{
 };
 pub use planner::{plan, ModelParallelism, Plan, PlanRequest};
 pub use search::{
-    argmin_point, enumerate_naive, pareto_frontier, pareto_frontier_reference, plan_point,
-    pow2_candidates, search, split_variants, CandidateProfile, SearchPoint, SearchResult,
-    SearchSpace, SearchStats, VariantCost,
+    enumerate_naive, plan_point, pow2_candidates, search, split_variants, CandidateProfile,
+    SearchPoint, SearchResult, SearchSpace, SearchStats, VariantCost,
 };
 pub use tensorparallel::{tensor_parallel_plan, TensorParallelConfig, TensorParallelPlan};
 pub use trace::pipeline_trace_events;

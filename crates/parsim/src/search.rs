@@ -12,7 +12,8 @@
 //!
 //! pruning infeasible regions early and returning every feasible plan, the
 //! Pareto frontier over `(epoch days, total accelerators, per-accelerator
-//! footprint)`, and the planner-compatible argmin.
+//! footprint)`, and the planner-compatible argmin. The frontier, argmin,
+//! cap cut and result type are the shared [`lattice`](crate::lattice) core.
 //!
 //! ## Exactness contract
 //!
@@ -24,7 +25,8 @@
 //!   path applies per point; it is hoisted out of the worker loop.
 //! * **cap** — worker candidates ascend, so once
 //!   `workers · ways > max_total_accelerators` every later candidate of the
-//!   variant is over the cap too (exact integer arithmetic).
+//!   variant is over the cap too. The product is overflow-checked on both
+//!   paths: a product past `u64::MAX` is over every cap.
 //! * **allreduce-dominated** — the epoch time is computed as
 //!   `D / (w·sps) · step_seconds / 86400` with `step_seconds =
 //!   compute + comm ≥ comm`. f64 rounding is monotone, so replaying the
@@ -38,17 +40,15 @@
 //! code path in the workspace; the differential suite
 //! (`tests/search_equiv.rs`) pins search ≡ naive ≡ triple-looped planner.
 //!
-//! Profiles are searched on the rayon pool with an order-preserving collect
-//! and merged sequentially, so results are deterministic regardless of
-//! thread count (and equal to the sequential oracle — the property suite
-//! asserts exactly that).
+//! Profiles are walked sequentially, in order, into one feasible `Vec`, so
+//! the result is deterministic and equal to the sequential oracle.
 
-use rayon::prelude::*;
 use roofline::Accelerator;
 use serde::{Deserialize, Serialize};
 
 use crate::allreduce::{ring_allreduce_seconds, CommConfig};
 use crate::dataparallel::WorkerStep;
+use crate::lattice::{assert_ascending, cap_cut, fits_cap, LatticeResult, Ranked};
 use crate::modelparallel::{layer_parallel_plan, peak_footprint, waterfill_largest_weight, Stage};
 use crate::planner::{ModelParallelism, Plan};
 
@@ -133,31 +133,25 @@ pub struct SearchStats {
     pub pruned_comm_bound: u64,
 }
 
-impl SearchStats {
-    fn absorb(&mut self, other: SearchStats) {
-        self.considered += other.considered;
-        self.evaluated += other.evaluated;
-        self.pruned_memory += other.pruned_memory;
-        self.pruned_over_cap += other.pruned_over_cap;
-        self.pruned_comm_bound += other.pruned_comm_bound;
-    }
-}
+/// Everything the search returns; the argmin's tie-break among equal
+/// fleets is higher FLOP utilization.
+pub type SearchResult = LatticeResult<SearchPoint, SearchStats>;
 
-/// Everything the search returns.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub struct SearchResult {
-    /// Every feasible point, in canonical enumeration order (profile →
-    /// variant → ascending workers).
-    pub feasible: Vec<SearchPoint>,
-    /// Non-dominated subset of `feasible` under minimizing
-    /// `(epoch_days, total_accelerators, mem_per_accel_gb)`, in canonical
-    /// order.
-    pub pareto: Vec<SearchPoint>,
-    /// Planner-compatible argmin: fewest total accelerators, ties broken by
-    /// higher FLOP utilization, then canonical order.
-    pub best: Option<SearchPoint>,
-    /// Enumeration counters.
-    pub stats: SearchStats,
+impl Ranked for SearchPoint {
+    type Objectives = (f64, u64, f64);
+
+    fn objectives(&self) -> (f64, u64, f64) {
+        let p = &self.plan;
+        (p.epoch_days, p.total_accelerators, p.mem_per_accel_gb)
+    }
+
+    fn total_accelerators(&self) -> u64 {
+        self.plan.total_accelerators
+    }
+
+    fn tie_break(&self) -> f64 {
+        self.plan.flop_utilization
+    }
 }
 
 /// Per-accelerator memory and compute cost of one model-parallel variant.
@@ -288,7 +282,7 @@ pub fn enumerate_naive(space: &SearchSpace) -> Vec<SearchPoint> {
         let comm = space.comm_for(&profile.accel);
         for variant in profile_variants(space, profile) {
             for &workers in &space.worker_candidates {
-                if workers.saturating_mul(variant.ways) > space.max_total_accelerators {
+                if !fits_cap(workers, variant.ways, space.max_total_accelerators) {
                     continue;
                 }
                 let plan = plan_point(
@@ -317,14 +311,14 @@ pub fn enumerate_naive(space: &SearchSpace) -> Vec<SearchPoint> {
 fn search_profile(
     space: &SearchSpace,
     profile: &CandidateProfile,
-) -> (Vec<SearchPoint>, SearchStats) {
+    feasible: &mut Vec<SearchPoint>,
+    stats: &mut SearchStats,
+) {
     let _span = obs::span("parsim.search_profile")
         .with_arg("accel", profile.accel_key.as_str())
         .with_arg("subbatch", profile.subbatch);
     let usable = profile.accel.mem_capacity * space.usable_mem_fraction;
     let comm = space.comm_for(&profile.accel);
-    let mut stats = SearchStats::default();
-    let mut out = Vec::new();
     for variant in profile_variants(space, profile) {
         let candidates = space.worker_candidates.len() as u64;
         stats.considered += candidates;
@@ -334,13 +328,15 @@ fn search_profile(
             stats.pruned_memory += candidates;
             continue;
         }
-        for (i, &workers) in space.worker_candidates.iter().enumerate() {
-            // Cap prune: candidates ascend, so the first overflow ends the
-            // ladder.
-            if workers.saturating_mul(variant.ways) > space.max_total_accelerators {
-                stats.pruned_over_cap += candidates - i as u64;
-                break;
-            }
+        // Cap prune: candidates ascend, so the first overflow ends the
+        // ladder.
+        let in_cap = cap_cut(
+            &space.worker_candidates,
+            variant.ways,
+            space.max_total_accelerators,
+        );
+        stats.pruned_over_cap += candidates - in_cap.len() as u64;
+        for &workers in in_cap {
             // Allreduce-dominated prune: replay the epoch expression with
             // the comm term alone — a lower bound in f64 (see module docs).
             let comm_seconds = ring_allreduce_seconds(
@@ -368,7 +364,7 @@ fn search_profile(
             if plan.epoch_days > space.target_epoch_days {
                 continue;
             }
-            out.push(SearchPoint {
+            feasible.push(SearchPoint {
                 accel_key: profile.accel_key.clone(),
                 subbatch: profile.subbatch,
                 parallelism: variant.parallelism,
@@ -376,149 +372,33 @@ fn search_profile(
             });
         }
     }
-    (out, stats)
 }
 
-/// Does `p` dominate `q` under minimizing
-/// `(epoch_days, total_accelerators, mem_per_accel_gb)`?
-fn dominates(p: &Plan, q: &Plan) -> bool {
-    p.epoch_days <= q.epoch_days
-        && p.total_accelerators <= q.total_accelerators
-        && p.mem_per_accel_gb <= q.mem_per_accel_gb
-        && (p.epoch_days < q.epoch_days
-            || p.total_accelerators < q.total_accelerators
-            || p.mem_per_accel_gb < q.mem_per_accel_gb)
-}
-
-/// The non-dominated subset of `points` by definition: compare every pair.
-/// Quadratic; kept as the oracle for [`pareto_frontier`] (the differential
-/// suite and the `plansearch` bench compare the two bit-for-bit).
-pub fn pareto_frontier_reference(points: &[SearchPoint]) -> Vec<SearchPoint> {
-    points
-        .iter()
-        .filter(|p| !points.iter().any(|q| dominates(&q.plan, &p.plan)))
-        .cloned()
-        .collect()
-}
-
-/// The non-dominated subset of `points`, preserving order. Exact ties
-/// survive (neither point dominates the other).
-///
-/// Single sorted sweep instead of the all-pairs scan: lexicographic order
-/// on the objective triple puts every dominator strictly before anything
-/// it dominates (domination is `<=` on all three axes and `<` on one), and
-/// domination is transitive, so a point is dominated iff some member of
-/// the growing frontier dominates it. `O(n log n + n·h)` for a frontier of
-/// size `h`, against the reference's `O(n²)`; output identical.
-pub fn pareto_frontier(points: &[SearchPoint]) -> Vec<SearchPoint> {
-    let mut order: Vec<u32> = (0..points.len() as u32).collect();
-    order.sort_by(|&i, &j| {
-        let (a, b) = (&points[i as usize].plan, &points[j as usize].plan);
-        a.epoch_days
-            .total_cmp(&b.epoch_days)
-            .then(a.total_accelerators.cmp(&b.total_accelerators))
-            .then(a.mem_per_accel_gb.total_cmp(&b.mem_per_accel_gb))
-    });
-    let mut frontier: Vec<u32> = Vec::new();
-    let mut on_frontier = vec![false; points.len()];
-    for &i in &order {
-        let p = &points[i as usize].plan;
-        if !frontier
-            .iter()
-            .any(|&f| dominates(&points[f as usize].plan, p))
-        {
-            frontier.push(i);
-            on_frontier[i as usize] = true;
-        }
-    }
-    points
-        .iter()
-        .zip(&on_frontier)
-        .filter(|(_, &keep)| keep)
-        .map(|(p, _)| p.clone())
-        .collect()
-}
-
-/// The planner's selection criterion over an arbitrary point set: fewest
-/// total accelerators, ties broken by higher FLOP utilization, remaining
-/// ties by enumeration order.
-pub fn argmin_point(points: &[SearchPoint]) -> Option<SearchPoint> {
-    let mut best: Option<&SearchPoint> = None;
-    for p in points {
-        let better = match best {
-            None => true,
-            Some(b) => {
-                p.plan.total_accelerators < b.plan.total_accelerators
-                    || (p.plan.total_accelerators == b.plan.total_accelerators
-                        && p.plan.flop_utilization > b.plan.flop_utilization)
-            }
-        };
-        if better {
-            best = Some(p);
-        }
-    }
-    best.cloned()
-}
-
-/// Below this many (upper-bound) lattice points the per-call cost of
-/// standing up the rayon pool exceeds what parallel evaluation saves, so
-/// [`search`] walks the profiles sequentially. Either path merges in
-/// profile order, so the output is bit-identical regardless.
-const PAR_LATTICE_THRESHOLD: usize = 16_384;
-
-/// Search the joint space with pruning, profiles fanned out over the rayon
-/// pool (sequentially for small lattices — same result either way).
-/// Bit-identical to [`enumerate_naive`] (see the module docs for why each
-/// prune is exact).
+/// Search the joint space with pruning, profile by profile. Bit-identical
+/// to [`enumerate_naive`] (see the module docs for why each prune is
+/// exact).
 pub fn search(space: &SearchSpace) -> SearchResult {
     let mut span = obs::span("parsim.search")
         .with_arg("profiles", space.profiles.len() as u64)
         .with_arg("workers", space.worker_candidates.len() as u64);
-    assert!(
-        space.worker_candidates.windows(2).all(|w| w[0] < w[1]),
-        "worker candidates must ascend strictly"
-    );
-    let lattice_bound = space.profiles.len()
-        * space.worker_candidates.len()
-        * (1 + space.microbatch_candidates.len());
-    let per_profile: Vec<(Vec<SearchPoint>, SearchStats)> = if lattice_bound < PAR_LATTICE_THRESHOLD
-    {
-        space
-            .profiles
-            .iter()
-            .map(|p| search_profile(space, p))
-            .collect()
-    } else {
-        space
-            .profiles
-            .par_iter()
-            .map(|p| search_profile(space, p))
-            .collect()
-    };
+    assert_ascending(&space.worker_candidates, "worker");
     let mut stats = SearchStats::default();
     let mut feasible = Vec::new();
-    for (points, s) in per_profile {
-        stats.absorb(s);
-        feasible.extend(points);
+    for profile in &space.profiles {
+        search_profile(space, profile, &mut feasible, &mut stats);
     }
     span.arg("considered", stats.considered);
     span.arg("evaluated", stats.evaluated);
     span.arg("pruned_memory", stats.pruned_memory);
     span.arg("pruned_over_cap", stats.pruned_over_cap);
     span.arg("pruned_comm_bound", stats.pruned_comm_bound);
-    let pareto = pareto_frontier(&feasible);
-    let best = argmin_point(&feasible);
-    SearchResult {
-        feasible,
-        pareto,
-        best,
-        stats,
-    }
+    SearchResult::new(feasible, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lattice::{dominates, pareto_frontier, pareto_frontier_reference};
 
     fn gb(x: f64) -> f64 {
         x * 1e9
@@ -582,7 +462,7 @@ mod tests {
         let result = search(&toy_space());
         for p in &result.pareto {
             assert!(
-                !result.pareto.iter().any(|q| dominates(&q.plan, &p.plan)),
+                !result.pareto.iter().any(|q| dominates(q, p)),
                 "dominated point on frontier: {p:?}"
             );
         }
@@ -638,7 +518,7 @@ mod tests {
             pareto_frontier(&doubled),
             pareto_frontier_reference(&doubled)
         );
-        assert!(pareto_frontier(&[]).is_empty());
+        assert!(pareto_frontier::<SearchPoint>(&[]).is_empty());
     }
 
     #[test]

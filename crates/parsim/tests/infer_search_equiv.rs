@@ -5,8 +5,8 @@
 //! produce the hand-checked argmin plan.
 
 use parsim::{
-    enumerate_infer_naive, infer_pareto_frontier_reference, infer_plan_point, infer_search,
-    InferProfile, InferSearchSpace, SloTarget,
+    enumerate_infer_naive, infer_plan_point, infer_search, pareto_frontier_reference, InferProfile,
+    InferSearchSpace, SloTarget,
 };
 use proptest::prelude::*;
 use roofline::Accelerator;
@@ -83,10 +83,7 @@ fn golden_space_is_bit_identical_to_naive() {
     let space = golden_space();
     let result = infer_search(&space);
     assert_eq!(result.feasible, enumerate_infer_naive(&space));
-    assert_eq!(
-        result.pareto,
-        infer_pareto_frontier_reference(&result.feasible)
-    );
+    assert_eq!(result.pareto, pareto_frontier_reference(&result.feasible));
 }
 
 #[test]
@@ -149,7 +146,7 @@ proptest! {
         prop_assert_eq!(&result.feasible, &enumerate_infer_naive(&space));
         prop_assert_eq!(
             &result.pareto,
-            &infer_pareto_frontier_reference(&result.feasible)
+            &pareto_frontier_reference(&result.feasible)
         );
         let s = result.stats;
         prop_assert_eq!(

@@ -205,3 +205,56 @@ fn pareto_and_best_are_consistent_with_the_feasible_set() {
     let wide = search(&wider);
     assert!(result.feasible.iter().all(|p| wide.feasible.contains(p)));
 }
+
+/// A worker ladder that climbs to 2^63 under a cap of `u64::MAX`: the
+/// two-way pipeline's top rung is a fleet of 2^64 accelerators. That
+/// product overflows `u64`, so it is over every cap, on both paths.
+#[test]
+fn fleet_cap_is_exact_where_the_fleet_size_overflows() {
+    let stages = vec![
+        Stage {
+            name: "a".into(),
+            weight_bytes: gb(4.0),
+            activation_bytes: gb(2.0),
+        },
+        Stage {
+            name: "b".into(),
+            weight_bytes: gb(2.0),
+            activation_bytes: gb(2.0),
+        },
+    ];
+    let space = SearchSpace {
+        profiles: vec![CandidateProfile {
+            accel_key: "v100".into(),
+            accel: Accelerator::v100_like(),
+            subbatch: 64,
+            step: WorkerStep {
+                compute_seconds: 1.0,
+                alg_flops: 10e12,
+                gradient_bytes: gb(1.0),
+                samples_per_step: 1024.0,
+            },
+            footprint_bytes: gb(10.0),
+            stages,
+        }],
+        dataset_samples: 1e9,
+        target_epoch_days: 365.0,
+        usable_mem_fraction: 0.8,
+        worker_candidates: pow2_candidates(u64::MAX),
+        microbatch_candidates: vec![2],
+        max_total_accelerators: u64::MAX,
+        hop_overhead: CommConfig::default().hop_overhead,
+    };
+    let result = search(&space);
+    assert!(!result.feasible.is_empty());
+    for p in &result.feasible {
+        assert_eq!(
+            p.plan.total_accelerators,
+            p.plan.dp_workers.checked_mul(p.plan.mp_ways).unwrap(),
+            "{p:?}"
+        );
+    }
+    assert_eq!(result.feasible, enumerate_naive(&space));
+    // Only the pipeline variant's 2^63 rung is over the cap.
+    assert_eq!(result.stats.pruned_over_cap, 1);
+}

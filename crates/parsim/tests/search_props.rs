@@ -203,10 +203,11 @@ proptest! {
     }
 
     /// The search returns identical results — every plan, every f64 —
-    /// regardless of how many rayon threads evaluate it, and both match the
-    /// sequential naive oracle. Checked on the generated space and on a
-    /// profile-replicated blowup big enough to take the parallel path
-    /// (small lattices are searched sequentially).
+    /// whatever thread count the environment asks for, and matches the
+    /// sequential naive oracle. The search walks its profiles sequentially
+    /// into one feasible `Vec`; this pins that no pool setting leaks into
+    /// the answer. Checked on the generated space and on a
+    /// profile-replicated blowup past 16,384 lattice points.
     #[test]
     fn search_is_deterministic_across_thread_counts(space in arb_space()) {
         let mut big = space.clone();
@@ -231,6 +232,35 @@ proptest! {
             prop_assert_eq!(&results[1], &results[2]);
             prop_assert_eq!(&results[0].feasible, &naive);
         }
+    }
+
+    /// The counters account for every lattice point: each one is either
+    /// priced or removed by exactly one prune, and the lattice is every
+    /// profile's variants times the worker ladder.
+    #[test]
+    fn counters_account_for_every_lattice_point(space in arb_space()) {
+        let s = search(&space).stats;
+        prop_assert_eq!(
+            s.considered,
+            s.evaluated + s.pruned_memory + s.pruned_over_cap + s.pruned_comm_bound
+        );
+        let variants: usize = space
+            .profiles
+            .iter()
+            .map(|p| {
+                split_variants(
+                    &p.stages,
+                    p.footprint_bytes,
+                    p.step.compute_seconds,
+                    &space.microbatch_candidates,
+                )
+                .len()
+            })
+            .sum();
+        prop_assert_eq!(
+            s.considered,
+            (variants * space.worker_candidates.len()) as u64
+        );
     }
 
     /// The sorted-sweep Pareto frontier is bit-identical to the all-pairs
