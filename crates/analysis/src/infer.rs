@@ -13,16 +13,17 @@
 //!   the accelerator's memory bandwidth, not its peak FLOP/s, prices the
 //!   step.
 //!
-//! The [`InferEngine`] mirrors [`FamilyEngine`](crate::FamilyEngine): one
-//! **symbolic family build** per structural configuration (vocab, layers,
-//! MLP width, tying) with batch, context length, prompt length, head count,
-//! and head dimension left free; per request, the width symbols are
-//! substituted **exactly** (`bind_all`, memoized) and the closed forms are
-//! evaluated across batches as one batched register-VM grid (a single
-//! point is a one-row grid). Every number is
-//! **bit-identical** to the brute-force path ([`characterize_infer`]) that
-//! rebuilds concrete graphs per point — the builders combine dimensions with
-//! ring operations only, so substitution commutes with building.
+//! The [`InferEngine`] is the [`Engine`](crate::Engine) core run with the
+//! [`Serving`] spec: one **symbolic family build** per structural
+//! configuration (vocab, layers, MLP width, tying) with batch, context
+//! length, prompt length, head count, and head dimension left free; per
+//! request, the width symbols are substituted **exactly** (`bind_all`,
+//! memoized) and the closed forms are evaluated across batches as one
+//! batched register-VM grid (a single point is a one-row grid). Every
+//! number is **bit-identical** to the brute-force path
+//! ([`characterize_infer`]) that rebuilds concrete graphs per point — the
+//! builders combine dimensions with ring operations only, so substitution
+//! commutes with building.
 //!
 //! The KV-cache footprint is the interned expression
 //! `2 · layers · b · ctx · heads · head_dim · dtype_bytes`
@@ -30,21 +31,17 @@
 //! sweeps for free alongside the graph stats: one `bind_all` per distinct
 //! `(ctx, heads, head_dim)`, one grid column per batch.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
 
-use cgraph::InternedForwardStats;
 use modelzoo::{
     batch, build_transformer_decode_dims, build_transformer_prefill_dims, TransformerConfig,
     BATCH_SYM, CTX_SYM, HEADS_SYM, HEAD_DIM_SYM, PROMPT_SYM,
 };
-use rayon::prelude::*;
 use roofline::{roofline_time, Accelerator, Bound};
 use serde::{Deserialize, Serialize};
-use symath::{batch_program, Bindings, Expr, ExprId};
+use symath::{Bindings, Expr, ExprId};
 
-use crate::engine::DEFAULT_INSTANCE_CAPACITY;
-use crate::lru::Lru;
+use crate::engine::{Engine, Spec};
 
 /// Bytes per KV-cache element (the builders cache K/V in f32).
 pub const KV_DTYPE_BYTES: u64 = 4;
@@ -177,62 +174,36 @@ impl InferPoint {
     }
 }
 
-/// One structural family: symbolic prefill/decode builds and the KV-cache
-/// expression, shared by every `(batch, prompt, ctx, heads, head_dim)`
-/// request against the same structure.
-struct InferFamily {
-    prefill: InternedForwardStats,
-    decode: InternedForwardStats,
-    kv: ExprId,
-}
+/// The serving [`Spec`]: prefill and decode of one served Transformer.
+/// Its configuration is `(model, prompt, context)`; its family is the six
+/// closed forms an [`InferPoint`] reads, built once per structural
+/// configuration with prompt, context, head count and head dimension free.
+pub struct Serving;
 
-/// A family with `(prompt, ctx, heads, head_dim)` substituted exactly;
-/// only the batch symbol remains free.
-struct InferInstance {
-    prefill: InternedForwardStats,
-    decode: InternedForwardStats,
-    kv: ExprId,
-}
+/// The serving engine: [`Serving`] points priced per
+/// `(model, batch, prompt, context)`.
+pub type InferEngine = Engine<Serving>;
 
-/// The symbolic inference sweep engine (see the module docs).
-pub struct InferEngine {
-    families: Mutex<HashMap<String, Arc<InferFamily>>>,
-    instances: Mutex<Lru<String, Arc<InferInstance>>>,
-}
+impl Spec for Serving {
+    type Config = (InferConfig, u64, u64);
+    /// Decode params, prefill FLOPs and bytes, decode FLOPs and bytes, and
+    /// the KV-cache bytes.
+    type Family = [ExprId; 6];
+    type Point = InferPoint;
 
-impl Default for InferEngine {
-    fn default() -> InferEngine {
-        InferEngine::with_instance_capacity(DEFAULT_INSTANCE_CAPACITY)
-    }
-}
-
-impl InferEngine {
-    /// A fresh, empty engine (cold caches).
-    pub fn new() -> InferEngine {
-        InferEngine::default()
+    fn family_key((cfg, _, _): &Self::Config) -> String {
+        cfg.family_key()
     }
 
-    /// An engine whose instance cache holds at most `capacity` entries.
-    pub fn with_instance_capacity(capacity: usize) -> InferEngine {
-        InferEngine {
-            families: Mutex::new(HashMap::new()),
-            instances: Mutex::new(Lru::new(capacity)),
-        }
+    fn widths(&(cfg, prompt, context): &Self::Config) -> Bindings {
+        Bindings::new()
+            .with(PROMPT_SYM, prompt as f64)
+            .with(CTX_SYM, context as f64)
+            .with(HEADS_SYM, cfg.heads as f64)
+            .with(HEAD_DIM_SYM, cfg.head_dim as f64)
     }
 
-    /// The process-wide engine, shared by sweeps and the query server.
-    pub fn global() -> &'static InferEngine {
-        static GLOBAL: OnceLock<InferEngine> = OnceLock::new();
-        GLOBAL.get_or_init(InferEngine::new)
-    }
-
-    fn family(&self, cfg: &InferConfig) -> Arc<InferFamily> {
-        let key = cfg.family_key();
-        if let Some(f) = self.families.lock().expect("poisoned").get(&key) {
-            return Arc::clone(f);
-        }
-        // Built outside the lock: concurrent misses may build twice, but the
-        // results are identical and the first insert wins.
+    fn build_family((cfg, _, _): &Self::Config) -> [ExprId; 6] {
         let tcfg = cfg.transformer();
         let d = Expr::sym(HEADS_SYM) * Expr::sym(HEAD_DIM_SYM);
         let (prefill, decode) = obs::time("modelzoo.build_infer_family", || {
@@ -241,54 +212,61 @@ impl InferEngine {
                 build_transformer_decode_dims(&tcfg, Expr::sym(CTX_SYM), d),
             )
         });
-        let family = Arc::new(InferFamily {
-            prefill: prefill
-                .graph
-                .stats_interned()
-                .forward_view()
-                .expect("prefill graph is forward-only"),
-            decode: decode
-                .graph
-                .stats_interned()
-                .forward_view()
-                .expect("decode graph is forward-only"),
-            kv: kv_cache_id(cfg.layers),
-        });
-        Arc::clone(
-            self.families
-                .lock()
-                .expect("poisoned")
-                .entry(key)
-                .or_insert(family),
-        )
+        let prefill = prefill
+            .graph
+            .stats_interned()
+            .forward_view()
+            .expect("prefill graph is forward-only");
+        let decode = decode
+            .graph
+            .stats_interned()
+            .forward_view()
+            .expect("decode graph is forward-only");
+        [
+            decode.params,
+            prefill.flops,
+            prefill.bytes,
+            decode.flops,
+            decode.bytes,
+            kv_cache_id(cfg.layers),
+        ]
     }
 
-    fn instance(&self, cfg: &InferConfig, prompt: u64, context: u64) -> Arc<InferInstance> {
-        let key = format!(
-            "{};p={prompt};ctx={context};h={};hd={}",
-            cfg.family_key(),
-            cfg.heads,
-            cfg.head_dim
-        );
-        if let Some(hit) = self.instances.lock().expect("poisoned").get(&key) {
-            return hit;
+    fn roots(family: &[ExprId; 6]) -> &[ExprId] {
+        family
+    }
+
+    /// The intensity ratios divide the same values the oracle divides.
+    fn point(
+        _: &[ExprId; 6],
+        &(_, prompt, context): &Self::Config,
+        batch: u64,
+        row: &[f64],
+    ) -> InferPoint {
+        let [params, prefill_flops, prefill_bytes, decode_flops, decode_bytes, kv_cache_bytes] =
+            row.try_into().expect("one value per root");
+        InferPoint {
+            batch,
+            prompt,
+            context,
+            params,
+            weight_bytes: 4.0 * params,
+            kv_cache_bytes,
+            prefill_flops,
+            prefill_bytes,
+            prefill_intensity: prefill_flops / prefill_bytes,
+            decode_flops,
+            decode_bytes,
+            decode_intensity: decode_flops / decode_bytes,
         }
-        let family = self.family(cfg);
-        let widths = Bindings::new()
-            .with(PROMPT_SYM, prompt as f64)
-            .with(CTX_SYM, context as f64)
-            .with(HEADS_SYM, cfg.heads as f64)
-            .with(HEAD_DIM_SYM, cfg.head_dim as f64);
-        let instance = Arc::new(InferInstance {
-            prefill: family.prefill.bind_all(&widths),
-            decode: family.decode.bind_all(&widths),
-            kv: family.kv.bind_all(&widths),
-        });
-        self.instances
-            .lock()
-            .expect("poisoned")
-            .insert(key, instance)
-            .0
+    }
+}
+
+impl InferEngine {
+    /// The process-wide engine, shared by sweeps and the query server.
+    pub fn global() -> &'static InferEngine {
+        static GLOBAL: OnceLock<InferEngine> = OnceLock::new();
+        GLOBAL.get_or_init(InferEngine::new)
     }
 
     /// Symbolic counterpart of [`characterize_infer`]: the same
@@ -304,68 +282,7 @@ impl InferEngine {
         let _span = obs::span("analysis.characterize_infer_symbolic")
             .with_arg("batch", infer_batch)
             .with_arg("context", context);
-        let inst = self.instance(cfg, prompt, context);
-        InferEngine::characterize_instance(&inst, prompt, context, &[infer_batch])
-            .pop()
-            .expect("one row in, one point out")
-    }
-
-    /// Price one instance at several batch sizes through the batched
-    /// register VM: the six closed forms an [`InferPoint`] reads evaluate
-    /// across all batches in one grid pass. Bit-identical to
-    /// [`characterize_infer`] per batch — the batch VM replays the tree
-    /// walk's f64 operation order, and the intensity ratios divide the same
-    /// values.
-    fn characterize_instance(
-        inst: &InferInstance,
-        prompt: u64,
-        context: u64,
-        batches: &[u64],
-    ) -> Vec<InferPoint> {
-        if batches.is_empty() {
-            return Vec::new();
-        }
-        let roots = [
-            inst.decode.params,
-            inst.prefill.flops,
-            inst.prefill.bytes,
-            inst.decode.flops,
-            inst.decode.bytes,
-            inst.kv,
-        ];
-        let prog = batch_program(&roots);
-        let points: Vec<Bindings> = batches
-            .iter()
-            .map(|&b| Bindings::new().with(BATCH_SYM, b as f64))
-            .collect();
-        let grid = prog.eval_grid(&points).expect("grid is non-empty");
-        let val =
-            |root: usize, p: usize| -> f64 { *grid[root][p].as_ref().expect("all symbols bound") };
-        batches
-            .iter()
-            .enumerate()
-            .map(|(p, &batch)| {
-                let params = val(0, p);
-                let prefill_flops = val(1, p);
-                let prefill_bytes = val(2, p);
-                let decode_flops = val(3, p);
-                let decode_bytes = val(4, p);
-                InferPoint {
-                    batch,
-                    prompt,
-                    context,
-                    params,
-                    weight_bytes: 4.0 * params,
-                    kv_cache_bytes: val(5, p),
-                    prefill_flops,
-                    prefill_bytes,
-                    prefill_intensity: prefill_flops / prefill_bytes,
-                    decode_flops,
-                    decode_bytes,
-                    decode_intensity: decode_flops / decode_bytes,
-                }
-            })
-            .collect()
+        self.price_one(&(*cfg, prompt, context), infer_batch)
     }
 
     /// Characterize a `(batch, context)` grid at one prompt length. Rows
@@ -380,54 +297,11 @@ impl InferEngine {
         grid: &[(u64, u64)],
     ) -> Vec<InferPoint> {
         let _span = obs::span("analysis.characterize_infer_grid").with_arg("jobs", grid.len());
-        let mut order: Vec<u64> = Vec::new();
-        let mut groups: HashMap<u64, Vec<(usize, u64)>> = HashMap::new();
-        for (i, &(b, ctx)) in grid.iter().enumerate() {
-            let rows = groups.entry(ctx).or_insert_with(|| {
-                order.push(ctx);
-                Vec::new()
-            });
-            rows.push((i, b));
-        }
-        let grouped: Vec<(u64, Vec<(usize, u64)>)> = order
+        let jobs: Vec<_> = grid
             .iter()
-            .map(|ctx| (*ctx, groups.remove(ctx).expect("grouped by context")))
+            .map(|&(b, ctx)| ((*cfg, prompt, ctx), b))
             .collect();
-        let mut out: Vec<Option<InferPoint>> = vec![None; grid.len()];
-        let results: Vec<Vec<(usize, InferPoint)>> = grouped
-            .par_iter()
-            .map(|(ctx, rows)| {
-                let inst = self.instance(cfg, prompt, *ctx);
-                let batches: Vec<u64> = rows.iter().map(|&(_, b)| b).collect();
-                rows.iter()
-                    .map(|&(i, _)| i)
-                    .zip(InferEngine::characterize_instance(
-                        &inst, prompt, *ctx, &batches,
-                    ))
-                    .collect()
-            })
-            .collect();
-        for (i, p) in results.into_iter().flatten() {
-            out[i] = Some(p);
-        }
-        out.into_iter()
-            .map(|p| p.expect("every row priced"))
-            .collect()
-    }
-
-    /// Number of family builds currently cached.
-    pub fn families_built(&self) -> usize {
-        self.families.lock().expect("poisoned").len()
-    }
-
-    /// Number of per-`(prompt, ctx, heads, head_dim)` instances cached.
-    pub fn instances_cached(&self) -> usize {
-        self.instances.lock().expect("poisoned").len()
-    }
-
-    /// Bound on the instance cache.
-    pub fn instance_capacity(&self) -> usize {
-        self.instances.lock().expect("poisoned").capacity()
+        self.price_many(&jobs)
     }
 }
 

@@ -3,9 +3,12 @@
 //!
 //! * [`characterize`]/[`sweep_domain`] — Figures 7–10 measurements over
 //!   [`modelzoo`] graphs via [`cgraph`]'s cost model (rayon-parallel).
-//! * [`FamilyEngine`] — the symbolic sweep engine: one width-symbolic family
-//!   graph per domain, folded cost classes, exact per-point substitution —
-//!   bit-identical to the brute-force walk, an order of magnitude faster.
+//! * [`Engine`] — the symbolic sweep engine core: one width-symbolic family
+//!   per structure, exact per-configuration substitution into an LRU-bounded
+//!   instance cache, one batch-VM grid per instance — bit-identical to the
+//!   brute-force walk, an order of magnitude faster. A [`Spec`] supplies the
+//!   domain: [`FamilyEngine`] prices [`Training`] steps and [`InferEngine`]
+//!   prices [`Serving`] prefill and decode.
 //! * [`fit_trends`] — the Table 2 asymptotic coefficients (γ, λ, µ, δ).
 //! * [`subbatch_analysis`] — the §5.2.1 / Figure 11 subbatch selection.
 //! * [`frontier_row`]/[`table3`] — the Table 3 frontier training
@@ -38,11 +41,11 @@ pub use casestudy::{lstm_p_config, word_lm_case_study, CaseStudy, CaseStudyRow};
 pub use characterize::{
     characterize, characterize_averaged, sweep_domain, sweep_domain_batches, CharacterizationPoint,
 };
-pub use engine::FamilyEngine;
+pub use engine::{Engine, FamilyEngine, Spec, Training, TrainingFamily};
 pub use frontier::{frontier_row, table3, FrontierRow};
 pub use infer::{
     characterize_infer, kv_cache_expr, kv_cache_id, serving_case_study, InferConfig, InferEngine,
-    InferPoint, ServingCaseStudy, ServingRow, KV_DTYPE_BYTES,
+    InferPoint, Serving, ServingCaseStudy, ServingRow, KV_DTYPE_BYTES,
 };
 pub use inferplan::{infer_plan, infer_search_space, InferPlanRequest};
 pub use lru::Lru;

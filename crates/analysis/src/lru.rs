@@ -3,10 +3,10 @@
 //!
 //! A monotone tick, touch on use, evict the smallest tick while over
 //! capacity. Eviction scans the map, which is cheap at the sizes it bounds
-//! (an engine's ~1k instances, one shard of the response cache). Family
-//! caches are unbounded (there are only a handful of structural families) —
-//! this bounds the per-configuration caches, which a long-running server
-//! grows without limit otherwise.
+//! (an engine's ~1k instances, one shard of the response cache). It bounds
+//! the per-configuration caches, which a long-running server grows without
+//! limit otherwise. The engines' family maps are not bounded (see
+//! [`Engine`](crate::Engine)).
 
 use std::borrow::Borrow;
 use std::collections::HashMap;

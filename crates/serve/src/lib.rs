@@ -372,6 +372,21 @@ fn register_external_series(state: &Arc<AppState>) {
         "FamilyEngine LRU capacity.",
         || analysis::FamilyEngine::global().instance_capacity() as f64,
     );
+    r.counter_fn(
+        "frontier_infer_engine_families_built_total",
+        "Symbolic serving families built by the process-wide InferEngine.",
+        || analysis::InferEngine::global().families_built() as u64,
+    );
+    r.gauge_fn(
+        "frontier_infer_engine_instances_cached",
+        "Serving instances resident in the InferEngine LRU.",
+        || analysis::InferEngine::global().instances_cached() as f64,
+    );
+    r.gauge_fn(
+        "frontier_infer_engine_instance_capacity",
+        "InferEngine LRU capacity.",
+        || analysis::InferEngine::global().instance_capacity() as f64,
+    );
     r.gauge_fn(
         "frontier_symath_table_len",
         "Expressions resident in the symath intern table.",

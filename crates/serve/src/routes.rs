@@ -1104,8 +1104,8 @@ fn healthz_route(
 }
 
 /// `GET /v1/metrics` — request counts, cache effectiveness, reactor and
-/// connection stats, latency quantiles, sweep-engine cache occupancy, and
-/// `symath` interner counters.
+/// connection stats, latency quantiles, training and serving engine cache
+/// occupancy, and `symath` interner counters.
 fn metrics_route(
     state: &AppState,
     q: &Query,
@@ -1117,6 +1117,7 @@ fn metrics_route(
     let c = &state.cache.stats;
     let lat = &m.latency;
     let engine = analysis::FamilyEngine::global();
+    let infer_engine = InferEngine::global();
     let interner = symath::intern_stats();
     let batch = symath::batch_stats();
     let by_endpoint = m
@@ -1195,6 +1196,13 @@ fn metrics_route(
                 .set("families_built", engine.families_built() as u64)
                 .set("instances_cached", engine.instances_cached() as u64)
                 .set("instance_capacity", engine.instance_capacity() as u64),
+        )
+        .set(
+            "infer_engine",
+            Json::obj()
+                .set("families_built", infer_engine.families_built() as u64)
+                .set("instances_cached", infer_engine.instances_cached() as u64)
+                .set("instance_capacity", infer_engine.instance_capacity() as u64),
         )
         .set(
             "symath",

@@ -21,9 +21,13 @@
 //! Numeric evaluation prices the id as a one-wide grid of its cached
 //! [`BatchProgram`] and is bit-identical to [`Expr::eval`].
 //!
-//! The table is append-only and never evicts: the workspace's expression
-//! universe is bounded by the model families (a few thousand distinct
-//! expressions), and stable ids are what make the memo tables sound.
+//! The table is append-only and never evicts: stable ids are what make the
+//! memo tables sound. It is therefore not bounded. Family expressions are a
+//! few thousand per model family, but every distinct width bound into them
+//! (`bind_all`) adds nodes, memo entries and batch programs for good, and
+//! the `serve` routes take those widths, and the serving model's shape,
+//! from the query. Growth is one set of bound expressions per distinct
+//! instance a process ever prices.
 
 use std::collections::HashMap;
 use std::fmt;

@@ -140,6 +140,9 @@ fn exposition_is_well_formed() {
         "frontier_cache_entries",
         "frontier_pool_queue_depth",
         "frontier_engine_instances_cached",
+        "frontier_infer_engine_families_built_total",
+        "frontier_infer_engine_instances_cached",
+        "frontier_infer_engine_instance_capacity",
         "frontier_symath_table_len",
         "frontier_flight_recorded_total",
         "frontier_uptime_seconds",
@@ -231,6 +234,10 @@ fn text_and_json_metrics_agree_on_shared_series() {
             "frontier_engine_families_built_total",
             "engine.families_built",
         ),
+        (
+            "frontier_infer_engine_families_built_total",
+            "infer_engine.families_built",
+        ),
     ];
     for (series, json_path) in shared {
         let va = *a
@@ -253,6 +260,29 @@ fn text_and_json_metrics_agree_on_shared_series() {
     assert_eq!(
         a.get("frontier_cache_capacity").copied(),
         j.path("cache.capacity").and_then(Json::as_f64)
+    );
+    for (series, json_path) in [
+        (
+            "frontier_engine_instance_capacity",
+            "engine.instance_capacity",
+        ),
+        (
+            "frontier_infer_engine_instance_capacity",
+            "infer_engine.instance_capacity",
+        ),
+    ] {
+        assert_eq!(
+            a.get(series).copied(),
+            j.path(json_path).and_then(Json::as_f64),
+            "{series}"
+        );
+    }
+    // The serving engine's occupancy is in the JSON too.
+    assert!(
+        j.path("infer_engine.instances_cached")
+            .and_then(Json::as_f64)
+            .is_some(),
+        "{json_body}"
     );
     // And the cache series carry the expected traffic: one hit, three
     // misses (first characterize, project, sweep).
