@@ -405,6 +405,14 @@ impl FamilyEngine {
     pub fn labels_per_sample(&self, cfg: &ModelConfig) -> u64 {
         self.family(cfg).labels_per_sample
     }
+
+    /// `cfg`'s training-step FLOPs and bytes with the widths bound, free in
+    /// [`BATCH_SYM`] only: the same interned expressions as the concrete
+    /// build's `stats_interned()`, read off the cached instance.
+    pub(crate) fn step_costs(&self, cfg: &ModelConfig) -> (ExprId, ExprId) {
+        let inst = self.instance(&FamilyEngine::instance_key(cfg), cfg);
+        (inst.roots[1], inst.roots[2])
+    }
 }
 
 #[cfg(test)]
@@ -565,6 +573,23 @@ mod tests {
             assert_eq!(
                 engine.characterize(&cfg, 4).seq_len,
                 model.seq_len,
+                "{domain:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn step_costs_match_the_concrete_build() {
+        // Figure 11 reads its affine batch coefficients off these ids. Equal
+        // ids are equal expressions, so the coefficients are the concrete
+        // build's exactly.
+        let engine = FamilyEngine::new();
+        for domain in Domain::ALL {
+            let cfg = crate::frontier_config(domain);
+            let stats = cfg.build_training().graph.stats_interned();
+            assert_eq!(
+                engine.step_costs(&cfg),
+                (stats.flops, stats.bytes),
                 "{domain:?}"
             );
         }

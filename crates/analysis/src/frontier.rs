@@ -1,11 +1,12 @@
 //! Frontier projection (paper Table 3): per-domain training requirements at
-//! the target accuracy.
+//! the target accuracy, priced through the process-wide [`FamilyEngine`].
 
-use cgraph::{footprint, Scheduler};
 use modelzoo::{Domain, ModelConfig};
-use roofline::{epoch_seconds, step_time, to_days, Accelerator, RooflineTime};
+use roofline::{epoch_seconds, roofline_time, to_days, Accelerator, RooflineTime};
 use scaling::scaling_for;
 use serde::Serialize;
+
+use crate::FamilyEngine;
 
 /// One row of Table 3.
 #[derive(Clone, Debug, PartialEq, Serialize)]
@@ -17,7 +18,7 @@ pub struct FrontierRow {
     pub data_samples: f64,
     /// Projected model parameters.
     pub params: f64,
-    /// Parameters of the concrete model instance built to the projection.
+    /// Parameters of the model instance sized to the projection.
     pub built_params: f64,
     /// Profiling subbatch size.
     pub subbatch: u64,
@@ -33,32 +34,38 @@ pub struct FrontierRow {
     pub epoch_days: f64,
 }
 
-/// Compute one Table 3 row. Builds the frontier-scale model, so this is
-/// seconds of work for the language domains.
+/// The frontier-scale model of `domain`: its default configuration sized
+/// to the Table 1 projected parameter count.
+pub fn frontier_config(domain: Domain) -> ModelConfig {
+    let projection = scaling_for(domain).project();
+    ModelConfig::default_for(domain).with_target_params(projection.target_params.round() as u64)
+}
+
+/// Compute one Table 3 row from the frontier configuration's cached
+/// symbolic family. The first row of a domain builds that family; later
+/// rows, and `/v1/plan` on the same domain, reuse it.
 pub fn frontier_row(domain: Domain, accel: &Accelerator) -> FrontierRow {
     let projection = scaling_for(domain).project();
-    let cfg = ModelConfig::default_for(domain)
-        .with_target_params(projection.target_params.round() as u64);
+    let cfg = frontier_config(domain);
     let subbatch = domain.default_subbatch();
-    let model = cfg.build_training();
-    let bindings = model.bindings_with_batch(subbatch);
-    let stats = model.graph.stats().eval(&bindings).expect("bound");
-    let fp = footprint(&model.graph, &bindings, Scheduler::Best).expect("bound");
-    let step = step_time(&stats, accel);
+    let engine = FamilyEngine::global();
+    let point = engine.characterize(&cfg, subbatch);
+    let step = roofline_time(point.flops_per_step, point.bytes_per_step, accel);
+    let samples_per_step = (subbatch * engine.labels_per_sample(&cfg)) as f64;
     let epoch = epoch_seconds(
         projection.target_data_samples,
-        model.samples_per_step(subbatch),
+        samples_per_step,
         step.seconds,
     );
     FrontierRow {
         domain_label: domain.label(),
         data_samples: projection.target_data_samples,
         params: projection.target_params,
-        built_params: stats.params,
+        built_params: point.params,
         subbatch,
-        tflops_per_step: stats.flops / 1e12,
-        mem_tb_per_step: stats.bytes / 1e12,
-        min_mem_gb: fp.peak_bytes as f64 / 1e9,
+        tflops_per_step: point.flops_per_step / 1e12,
+        mem_tb_per_step: point.bytes_per_step / 1e12,
+        min_mem_gb: point.footprint_bytes / 1e9,
         step,
         epoch_days: to_days(epoch),
     }
@@ -75,6 +82,39 @@ pub fn table3(accel: &Accelerator) -> Vec<FrontierRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn rows_match_the_concrete_build_oracle() {
+        // Every engine-priced field equals the brute-force row: one concrete
+        // training graph built, differentiated, walked and simulated.
+        let accel = Accelerator::v100_like();
+        for domain in Domain::ALL {
+            let row = frontier_row(domain, &accel);
+            let cfg = frontier_config(domain);
+            let subbatch = domain.default_subbatch();
+            let point = crate::characterize(&cfg, subbatch);
+            let step = roofline_time(point.flops_per_step, point.bytes_per_step, &accel);
+            let epoch = epoch_seconds(
+                scaling_for(domain).project().target_data_samples,
+                cfg.build_training().samples_per_step(subbatch),
+                step.seconds,
+            );
+            assert_eq!(row.built_params, point.params, "{domain:?}");
+            assert_eq!(
+                row.tflops_per_step,
+                point.flops_per_step / 1e12,
+                "{domain:?}"
+            );
+            assert_eq!(
+                row.mem_tb_per_step,
+                point.bytes_per_step / 1e12,
+                "{domain:?}"
+            );
+            assert_eq!(row.min_mem_gb, point.footprint_bytes / 1e9, "{domain:?}");
+            assert_eq!(row.step.seconds, step.seconds, "{domain:?}");
+            assert_eq!(row.epoch_days, to_days(epoch), "{domain:?}");
+        }
+    }
 
     #[test]
     fn image_row_matches_paper_bands() {

@@ -12,7 +12,7 @@ use parsim::{CandidateProfile, CommConfig, SearchResult, SearchSpace, Stage, Wor
 use roofline::{roofline_time, Accelerator};
 use scaling::scaling_for;
 
-use crate::FamilyEngine;
+use crate::{frontier_config, FamilyEngine};
 
 /// What to search over for one domain.
 #[derive(Clone, Debug)]
@@ -76,8 +76,7 @@ pub fn plan_search_space(req: &PlanSearchRequest) -> SearchSpace {
         .with_arg("accels", req.accels.len() as u64)
         .with_arg("subbatches", req.subbatches.len() as u64);
     let projection = scaling_for(req.domain).project();
-    let cfg = ModelConfig::default_for(req.domain)
-        .with_target_params(projection.target_params.round() as u64);
+    let cfg = frontier_config(req.domain);
     let engine = FamilyEngine::global();
     let labels_per_sample = engine.labels_per_sample(&cfg);
     // One symbolic characterization per subbatch, batched over the rayon

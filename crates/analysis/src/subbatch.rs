@@ -2,8 +2,8 @@
 //!
 //! The training-step costs are affine in the subbatch `b`
 //! (`F(b) = f₁·b + f₀`, `A(b) = a₁·b + a₀`), so the whole sweep is computed
-//! from one symbolically-built graph evaluated at different bindings. Three
-//! points of interest:
+//! from the four coefficients of the configuration's step costs, read off
+//! the [`FamilyEngine`] instance's closed forms. Three points of interest:
 //!
 //! * **ridge match** (blue): `b` where graph-level operational intensity
 //!   equals the accelerator's achievable ridge point;
@@ -14,11 +14,12 @@
 //! * **saturation** (green): smallest power of two reaching 95% of the
 //!   intensity limit `f₁/a₁`.
 
-use cgraph::{footprint_peak, FootprintPlan};
-use modelzoo::{ModelConfig, ModelGraph};
+use modelzoo::ModelConfig;
 use roofline::{roofline_time, Accelerator};
 use serde::{Deserialize, Serialize};
 use symath::Expr;
+
+use crate::FamilyEngine;
 
 /// One subbatch sample of Figure 11.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -31,9 +32,6 @@ pub struct SubbatchPoint {
     pub step_seconds: f64,
     /// Step time per batch element, seconds (Figure 11's right axis).
     pub sec_per_sample: f64,
-    /// Minimal memory footprint at this subbatch, bytes (None when footprint
-    /// simulation was skipped for speed).
-    pub footprint_bytes: Option<f64>,
 }
 
 /// The Figure 11 sweep plus the three points of interest.
@@ -55,7 +53,7 @@ pub struct SubbatchAnalysis {
 
 /// Affine coefficients of an expression in the batch symbol:
 /// `e(b) = slope·b + intercept`, extracted exactly from the symbolic form.
-fn affine_in_batch(expr: &Expr, _model: &ModelGraph) -> (f64, f64) {
+fn affine_in_batch(expr: &Expr) -> (f64, f64) {
     let sym = symath::Symbol::new(modelzoo::BATCH_SYM);
     let coeffs = expr
         .coefficients_in(sym)
@@ -80,56 +78,31 @@ fn affine_in_batch(expr: &Expr, _model: &ModelGraph) -> (f64, f64) {
 
 /// Run the Figure 11 analysis for one model configuration.
 ///
-/// `batches` are the sweep points (typically powers of two). Footprints are
-/// simulated only when `with_footprints` (the simulation is the expensive
-/// part at frontier scale).
+/// `batches` are the sweep points (typically powers of two). The step costs
+/// come from the process-wide [`FamilyEngine`]: no graph is built once the
+/// configuration's family is cached.
 pub fn subbatch_analysis(
     cfg: &ModelConfig,
     batches: &[u64],
     accel: &Accelerator,
-    with_footprints: bool,
 ) -> SubbatchAnalysis {
     assert!(!batches.is_empty());
-    let model = cfg.build_training();
-    let stats = model.graph.stats();
-    let (f1, f0) = affine_in_batch(&stats.flops, &model);
-    let (a1, a0) = affine_in_batch(&stats.bytes, &model);
+    let (flops, bytes) = FamilyEngine::global().step_costs(cfg);
+    let (f1, f0) = affine_in_batch(&flops.expr());
+    let (a1, a0) = affine_in_batch(&bytes.expr());
     assert!(f1 > 0.0 && a1 > 0.0);
     let intensity_limit = f1 / a1;
-
-    // Per-tensor element closed forms and the footprint plan, extracted
-    // once; each footprint point binds the batch symbol instead of
-    // re-walking the graph (the exact rounding `cgraph::tensor_sizes`
-    // performs).
-    let footprint: Option<(Vec<(Expr, u64)>, FootprintPlan)> = with_footprints.then(|| {
-        let exprs = model
-            .graph
-            .tensors()
-            .iter()
-            .map(|t| (t.shape.elements(), t.dtype.size_bytes()))
-            .collect();
-        (exprs, FootprintPlan::new(&model.graph))
-    });
 
     let eval_point = |b: u64| -> SubbatchPoint {
         let bf = b as f64;
         let flops = f1 * bf + f0;
         let bytes = a1 * bf + a0;
         let t = roofline_time(flops, bytes, accel);
-        let fp = footprint.as_ref().map(|(exprs, plan)| {
-            let bindings = model.bindings_with_batch(b);
-            let sizes: Vec<u64> = exprs
-                .iter()
-                .map(|(e, db)| e.eval_u64(&bindings).expect("bound") * db)
-                .collect();
-            footprint_peak(plan, &sizes) as f64
-        });
         SubbatchPoint {
             batch: b,
             op_intensity: flops / bytes,
             step_seconds: t.seconds,
             sec_per_sample: t.seconds / bf,
-            footprint_bytes: fp,
         }
     };
 
@@ -194,7 +167,7 @@ mod tests {
         // §5.2.1: "subbatch size settles at about 1.5× larger than the
         // ridge-point match", and Table 3 lists 128 for the word LM.
         let a = Accelerator::v100_like();
-        let r = subbatch_analysis(&frontier_wordlm(), &fig11_batches(), &a, false);
+        let r = subbatch_analysis(&frontier_wordlm(), &fig11_batches(), &a);
         assert!(
             (64..=256).contains(&r.chosen),
             "chosen subbatch {} (paper: 128)",
@@ -211,7 +184,7 @@ mod tests {
     #[test]
     fn intensity_increases_and_saturates_with_batch() {
         let a = Accelerator::v100_like();
-        let r = subbatch_analysis(&frontier_wordlm(), &fig11_batches(), &a, false);
+        let r = subbatch_analysis(&frontier_wordlm(), &fig11_batches(), &a);
         for w in r.points.windows(2) {
             assert!(w[1].op_intensity >= w[0].op_intensity);
         }
@@ -224,7 +197,7 @@ mod tests {
     #[test]
     fn per_sample_time_is_nonincreasing() {
         let a = Accelerator::v100_like();
-        let r = subbatch_analysis(&frontier_wordlm(), &fig11_batches(), &a, false);
+        let r = subbatch_analysis(&frontier_wordlm(), &fig11_batches(), &a);
         for w in r.points.windows(2) {
             assert!(w[1].sec_per_sample <= w[0].sec_per_sample * 1.0001);
         }
@@ -237,24 +210,11 @@ mod tests {
         let a = Accelerator::v100_like();
         let cfg =
             ModelConfig::default_for(Domain::ImageClassification).with_target_params(732_000_000);
-        let r = subbatch_analysis(&cfg, &[1, 2, 4, 8, 16, 32], &a, false);
+        let r = subbatch_analysis(&cfg, &[1, 2, 4, 8, 16, 32], &a);
         assert!(
             r.chosen <= 8,
             "ResNet chosen subbatch {} should be tiny",
             r.chosen
         );
-    }
-
-    #[test]
-    fn footprints_grow_with_subbatch_when_requested() {
-        let a = Accelerator::v100_like();
-        let cfg = ModelConfig::default_for(Domain::WordLm).with_target_params(10_000_000);
-        let r = subbatch_analysis(&cfg, &[1, 8, 64], &a, true);
-        let fps: Vec<f64> = r
-            .points
-            .iter()
-            .map(|p| p.footprint_bytes.expect("requested"))
-            .collect();
-        assert!(fps.windows(2).all(|w| w[1] > w[0]));
     }
 }

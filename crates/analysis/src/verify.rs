@@ -2,14 +2,15 @@
 //! states its concise formulas are cross-checked with "high-fidelity
 //! modeling" — in Catamount, full symbolic graph evaluation. This module is
 //! that check: fit the Table 2 trends on one grid of models, then measure a
-//! *different* grid exactly through the graph IR and report the prediction
-//! error.
+//! *different* grid exactly through the graph IR (the [`FamilyEngine`]'s
+//! closed forms, bit-identical to a concrete build) and report the
+//! prediction error.
 
-use modelzoo::Domain;
+use modelzoo::{Domain, ModelConfig};
 use serde::Serialize;
 
-use crate::characterize::{characterize, CharacterizationPoint};
 use crate::trends::DomainTrends;
+use crate::FamilyEngine;
 
 /// Prediction-error summary of one quantity.
 #[derive(Clone, Copy, Debug, Serialize)]
@@ -54,13 +55,11 @@ pub fn verify_first_order(
     grid: &[(u64, u64)],
 ) -> VerificationReport {
     assert!(!grid.is_empty(), "verification grid must be non-empty");
-    let measurements: Vec<CharacterizationPoint> = grid
+    let jobs: Vec<(ModelConfig, u64)> = grid
         .iter()
-        .map(|&(params, batch)| {
-            let cfg = modelzoo::ModelConfig::default_for(domain).with_target_params(params);
-            characterize(&cfg, batch)
-        })
+        .map(|&(p, b)| (ModelConfig::default_for(domain).with_target_params(p), b))
         .collect();
+    let measurements = FamilyEngine::global().characterize_many(&jobs);
     let rel = |pred: f64, meas: f64| (pred - meas).abs() / meas.abs().max(f64::MIN_POSITIVE);
     let flops: Vec<f64> = measurements
         .iter()

@@ -70,7 +70,7 @@ fn fig11_subbatch(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig11_subbatch");
     g.sample_size(10).measurement_time(Duration::from_secs(15));
     g.bench_function("wordlm_frontier", |b| {
-        b.iter(|| black_box(subbatch_analysis(&cfg, &fig11_batches(), &accel, false)))
+        b.iter(|| black_box(subbatch_analysis(&cfg, &fig11_batches(), &accel)))
     });
     g.finish();
 }

@@ -99,7 +99,7 @@ fn fig11() {
     let projection = scaling_for(Domain::WordLm).project();
     let cfg = ModelConfig::default_for(Domain::WordLm)
         .with_target_params(projection.target_params as u64);
-    let r = subbatch_analysis(&cfg, &fig11_batches(), &accel, false);
+    let r = subbatch_analysis(&cfg, &fig11_batches(), &accel);
     let mut t = Table::new(["subbatch", "FLOP/B", "step time/sample (s)"]);
     for p in &r.points {
         t.row([

@@ -119,14 +119,11 @@ impl Study {
     /// The frontier model configuration (scaled to the projected parameter
     /// count).
     pub fn frontier_config(&self) -> ModelConfig {
-        let projection = scaling_for(self.domain).project();
-        ModelConfig::default_for(self.domain)
-            .with_target_params(projection.target_params.round() as u64)
+        analysis::frontier_config(self.domain)
     }
 
-    /// Full frontier report: projection plus training requirements.
-    /// Builds the frontier-scale model (seconds of work for the language
-    /// domains).
+    /// Full frontier report: projection plus training requirements, priced
+    /// through the process-wide [`analysis::FamilyEngine`].
     pub fn frontier_report(&self) -> FrontierReport {
         FrontierReport {
             projection: scaling_for(self.domain).project(),

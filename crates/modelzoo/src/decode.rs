@@ -57,16 +57,18 @@ pub const HEADS_SYM: &str = "inf_h";
 pub const HEAD_DIM_SYM: &str = "inf_hd";
 
 fn norm_dims(g: &mut Graph, name: &str, x: TensorId, d: &Expr) -> Result<TensorId, GraphError> {
-    // Same algorithmic shape as the training builder's norm: statistics +
-    // normalize + affine via the BatchNorm op, scale/shift weight `[2d]`.
+    // Modeled with the BatchNorm op (same algorithmic shape: statistics +
+    // normalize + affine, 8 FLOPs/element), scale/shift weight `[2d]`.
     let gamma = g.weight(format!("{name}.ln"), [Expr::from(2) * d.clone()])?;
     g.batch_norm(&format!("{name}.ln_op"), x, gamma)
 }
 
-/// Shared transformer trunk: embed `tokens_per_seq` tokens per sequence and
-/// run `cfg.layers` pre-norm blocks with full per-sequence attention
-/// (`[b, t, t]` scores). Returns the final `[b·t, d]` hidden states.
-fn build_trunk(
+/// Transformer trunk shared by prefill and the training builder
+/// ([`build_transformer`](crate::build_transformer)): embed `t` tokens per
+/// sequence and run `cfg.layers` pre-norm blocks with full per-sequence attention
+/// (`[b, t, t]` scores). Returns the final `[b·t, d]` hidden states and the
+/// embedding table.
+pub(crate) fn build_trunk(
     g: &mut Graph,
     cfg: &TransformerConfig,
     b: &Expr,
@@ -136,7 +138,7 @@ fn build_trunk(
 }
 
 /// Attach the (optionally tied) output head: `[n, d] -> [n, vocab]` logits.
-fn output_head(
+pub(crate) fn output_head(
     g: &mut Graph,
     cfg: &TransformerConfig,
     x: TensorId,

@@ -10,11 +10,12 @@
 //! quadratic-in-`q` term that distinguishes Transformers from the paper's
 //! recurrent models: training FLOPs/param ≈ `6q + q²/d` with tying.
 
-use cgraph::{DType, Graph, GraphError, PointwiseFn, TensorId};
+use cgraph::{DType, Graph};
 use serde::{Deserialize, Serialize};
 use symath::Expr;
 
 use crate::common::{batch, Domain, ModelGraph};
+use crate::decode::{build_trunk, output_head};
 
 /// Hyperparameters of the Transformer LM.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -76,96 +77,18 @@ impl TransformerConfig {
     }
 }
 
-fn norm(g: &mut Graph, name: &str, x: TensorId, d: u64) -> Result<TensorId, GraphError> {
-    // Modeled with the BatchNorm op (same algorithmic shape: statistics +
-    // normalize + affine, 8 FLOPs/element).
-    let gamma = g.weight(format!("{name}.ln"), [Expr::from(2 * d)])?;
-    g.batch_norm(&format!("{name}.ln_op"), x, gamma)
-}
-
-/// Build the forward graph for `cfg`.
+/// Build the forward graph for `cfg`: the shared decoder trunk over
+/// `(batch, seq_len, d_model)`, the output head, and the cross-entropy loss.
 pub fn build_transformer(cfg: &TransformerConfig) -> ModelGraph {
     let mut g = Graph::new(format!("transformer_d{}", cfg.d_model));
     let b = batch();
-    let (v, d, q) = (cfg.vocab, cfg.d_model, cfg.seq_len);
-    let bq = b.clone() * Expr::from(q);
-
-    let tokens = g
-        .input("tokens", [bq.clone()], DType::I32)
-        .expect("fresh graph");
-    let table = g
-        .weight("embedding", [Expr::from(v), Expr::from(d)])
-        .expect("weight");
-    let emb = g.gather("embed", table, tokens).expect("gather");
-    let mut x = g
-        .reshape("flat0", emb, [bq.clone(), Expr::from(d)])
-        .expect("reshape");
-
-    for layer in 0..cfg.layers {
-        let name = |s: &str| format!("l{layer}.{s}");
-        // --- attention block (pre-norm) ---
-        let normed = norm(&mut g, &name("attn"), x, d).expect("norm");
-        let wqkv = g
-            .weight(name("wqkv"), [Expr::from(d), Expr::from(3 * d)])
-            .expect("w");
-        let qkv = g
-            .matmul(&name("qkv"), normed, wqkv, false, false)
-            .expect("mm");
-        let parts = g.split(&name("qkv_split"), qkv, 1, 3).expect("split");
-        // Per-sequence attention: reshape to [b, q, d].
-        let seq = |g: &mut Graph, t: TensorId, nm: String| {
-            g.reshape(&nm, t, [b.clone(), Expr::from(q), Expr::from(d)])
-        };
-        let q3 = seq(&mut g, parts[0], name("q3")).expect("reshape");
-        let k3 = seq(&mut g, parts[1], name("k3")).expect("reshape");
-        let v3 = seq(&mut g, parts[2], name("v3")).expect("reshape");
-        let scores = g
-            .batch_matmul(&name("scores"), q3, k3, false, true)
-            .expect("bmm");
-        let probs = g.softmax(&name("softmax"), scores).expect("softmax");
-        let ctx = g
-            .batch_matmul(&name("ctx"), probs, v3, false, false)
-            .expect("bmm");
-        let ctx = g
-            .reshape(&name("ctx_flat"), ctx, [bq.clone(), Expr::from(d)])
-            .expect("reshape");
-        let wo = g
-            .weight(name("wo"), [Expr::from(d), Expr::from(d)])
-            .expect("w");
-        let proj = g.matmul(&name("proj"), ctx, wo, false, false).expect("mm");
-        x = g
-            .binary(&name("resid1"), PointwiseFn::Add, proj, x)
-            .expect("add");
-
-        // --- MLP block (pre-norm) ---
-        let normed = norm(&mut g, &name("mlp"), x, d).expect("norm");
-        let w1 = g
-            .weight(name("w1"), [Expr::from(d), Expr::from(cfg.ff_mult * d)])
-            .expect("w");
-        let w2 = g
-            .weight(name("w2"), [Expr::from(cfg.ff_mult * d), Expr::from(d)])
-            .expect("w");
-        let h = g
-            .matmul(&name("mlp1"), normed, w1, false, false)
-            .expect("mm");
-        let h = g.unary(&name("gelu"), PointwiseFn::Tanh, h).expect("act");
-        let h = g.matmul(&name("mlp2"), h, w2, false, false).expect("mm");
-        x = g
-            .binary(&name("resid2"), PointwiseFn::Add, h, x)
-            .expect("add");
-    }
-
-    let bo = g.weight("out.b", [Expr::from(v)]).expect("bias");
-    let logits = if cfg.tied_embedding {
-        g.matmul("out", x, table, false, true).expect("tied out")
-    } else {
-        let wo = g
-            .weight("out.w", [Expr::from(d), Expr::from(v)])
-            .expect("w");
-        g.matmul("out", x, wo, false, false).expect("out")
-    };
-    let logits = g.bias_add("out_bias", logits, bo).expect("bias");
-    let labels = g.input("labels", [bq], DType::I32).expect("labels");
+    let q = cfg.seq_len;
+    let d = Expr::from(cfg.d_model);
+    let (x, table) = build_trunk(&mut g, cfg, &b, &Expr::from(q), &d);
+    let logits = output_head(&mut g, cfg, x, table, &d);
+    let labels = g
+        .input("labels", [b * Expr::from(q)], DType::I32)
+        .expect("labels");
     let loss = g.cross_entropy("loss", logits, labels).expect("loss");
 
     ModelGraph {

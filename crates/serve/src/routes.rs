@@ -7,10 +7,11 @@
 //! byte-identical response. The compute renders that response once — body
 //! and both `x-cache: hit` heads, one [`CachedBytes`] — and [`Routed`]
 //! hands the same `Arc` to the reactor, which aliases it under the raw
-//! request target for its warm path. A miss on `characterize`, `sweep` or
-//! `plan*` is priced by the process-wide [`analysis::FamilyEngine`]
-//! and one on `infer/*` by [`InferEngine`]: cached symbolic families, no
-//! per-request graph rebuild. `healthz` and `metrics` are always live.
+//! request target for its warm path. A miss on `characterize`, `sweep`,
+//! `project`, `subbatch` or `plan*` is priced by the process-wide
+//! [`analysis::FamilyEngine`] and one on `infer/*` by [`InferEngine`]:
+//! cached symbolic families, no per-request graph rebuild. `healthz` and
+//! `metrics` are always live.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -464,7 +465,7 @@ fn subbatch_route(
         .field("accel", &state.accel.name);
     let accel = state.accel.clone();
     memoized(state, &key, "subbatch", trace, move || {
-        let analysis = subbatch_analysis(&cfg, &fig11_batches(), &accel, false);
+        let analysis = subbatch_analysis(&cfg, &fig11_batches(), &accel);
         let points: Vec<Json> = analysis
             .points
             .iter()

@@ -1,6 +1,6 @@
 //! Subbatch-size exploration (paper §5.2.1, Figure 11): how operational
-//! intensity, per-sample step time, and memory footprint trade off as the
-//! per-accelerator batch grows.
+//! intensity and per-sample step time trade off as the per-accelerator
+//! batch grows.
 //!
 //! ```sh
 //! cargo run --release --example subbatch_explorer [domain]
@@ -32,7 +32,7 @@ fn main() {
     );
 
     let batches: Vec<u64> = (0..=16).map(|i| 1u64 << i).collect();
-    let r = subbatch_analysis(&cfg, &batches, &accel, false);
+    let r = subbatch_analysis(&cfg, &batches, &accel);
 
     println!(
         "{:>8} {:>14} {:>16} {:>14}",

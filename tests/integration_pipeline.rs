@@ -128,7 +128,7 @@ fn subbatch_selection_consistent_with_frontier_rows() {
     // Table 3 profiles with (128), and using it reproduces the Table 3 row.
     let accel = Accelerator::v100_like();
     let cfg = Study::new(Domain::WordLm).frontier_config();
-    let sel = subbatch_analysis(&cfg, &[16, 32, 64, 128, 256, 512], &accel, false);
+    let sel = subbatch_analysis(&cfg, &[16, 32, 64, 128, 256, 512], &accel);
     assert!(
         sel.chosen >= 64 && sel.chosen <= 256,
         "chosen {}",
