@@ -8,10 +8,9 @@ use parsim::{
     CommConfig, Stage, WorkerStep,
 };
 use roofline::{per_op_step_time, step_time, to_days, Accelerator, CacheModel};
-use serde::Serialize;
 
 /// One optimization stage of Table 5.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct CaseStudyRow {
     /// Stage label.
     pub stage: &'static str,
@@ -31,7 +30,7 @@ pub struct CaseStudyRow {
 }
 
 /// Full Table 5 output.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct CaseStudy {
     /// The LSTM-p configuration used.
     pub config: WordLmConfig,

@@ -7,10 +7,9 @@ use modelzoo::{Domain, ModelConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 /// One measured point of a characterization sweep.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CharacterizationPoint {
     /// Trainable parameters.
     pub params: f64,

@@ -4,12 +4,11 @@
 use modelzoo::{Domain, ModelConfig};
 use roofline::{epoch_seconds, roofline_time, to_days, Accelerator, RooflineTime};
 use scaling::scaling_for;
-use serde::Serialize;
 
 use crate::FamilyEngine;
 
 /// One row of Table 3.
-#[derive(Clone, Debug, PartialEq, Serialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FrontierRow {
     /// Domain label.
     pub domain_label: &'static str,

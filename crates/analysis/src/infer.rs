@@ -38,7 +38,6 @@ use modelzoo::{
     BATCH_SYM, CTX_SYM, HEADS_SYM, HEAD_DIM_SYM, PROMPT_SYM,
 };
 use roofline::{roofline_time, Accelerator, Bound};
-use serde::{Deserialize, Serialize};
 use symath::{Bindings, Expr, ExprId};
 
 use crate::engine::{Engine, Spec};
@@ -52,7 +51,7 @@ pub const KV_DTYPE_BYTES: u64 = 4;
 /// family as free symbols ([`HEADS_SYM`], [`HEAD_DIM_SYM`]) with
 /// `d_model = heads · head_dim`; the structural family key covers only the
 /// fields that change the graph's shape-independent structure.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct InferConfig {
     /// Vocabulary size.
     pub vocab: u64,
@@ -136,7 +135,7 @@ pub fn kv_cache_id(layers: u64) -> ExprId {
 
 /// One characterized serving point: a `(batch, prompt, context)` evaluation
 /// of a model's prefill and decode phases.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct InferPoint {
     /// Decode batch size (concurrent sequences).
     pub batch: u64,
@@ -363,7 +362,7 @@ pub fn characterize_infer(
 
 /// One row of the serving case study: a decode batch size priced on a fixed
 /// accelerator.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ServingRow {
     /// Decode batch size.
     pub batch: u64,
@@ -387,7 +386,7 @@ pub struct ServingRow {
 
 /// Table-5-style serving case study: one model, one accelerator, a batch
 /// ladder showing the decode phase pinned to the memory roof.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct ServingCaseStudy {
     /// The served configuration.
     pub config: InferConfig,

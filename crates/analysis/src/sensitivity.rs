@@ -14,10 +14,9 @@ use modelzoo::ModelGraph;
 use roofline::{
     min_shards_to_fit, per_op_step_time, swap_report, Accelerator, CacheModel, HostLink,
 };
-use serde::Serialize;
 
 /// A named accelerator variant in the design space.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct HardwareVariant {
     /// Short label ("2x compute").
     pub label: String,
@@ -54,7 +53,7 @@ pub fn hardware_variants() -> Vec<HardwareVariant> {
 }
 
 /// Sensitivity of one model to one hardware variant.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct SensitivityPoint {
     /// Variant label.
     pub label: String,

@@ -16,13 +16,12 @@
 
 use modelzoo::ModelConfig;
 use roofline::{roofline_time, Accelerator};
-use serde::{Deserialize, Serialize};
 use symath::Expr;
 
 use crate::FamilyEngine;
 
 /// One subbatch sample of Figure 11.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SubbatchPoint {
     /// Subbatch size.
     pub batch: u64,
@@ -35,7 +34,7 @@ pub struct SubbatchPoint {
 }
 
 /// The Figure 11 sweep plus the three points of interest.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SubbatchAnalysis {
     /// Power-of-two sweep points.
     pub points: Vec<SubbatchPoint>,

@@ -3,7 +3,6 @@
 
 use modelzoo::Domain;
 use scaling::{fit_access_model, fit_proportional};
-use serde::{Deserialize, Serialize};
 
 use crate::characterize::CharacterizationPoint;
 
@@ -13,7 +12,7 @@ use crate::characterize::CharacterizationPoint;
 /// * bytes per step:        `a_t(p,b) ≈ λ·p + µ·b·√p`
 /// * operational intensity: `γ·b·√p / ((λ/√p→)·… )` — derived from the above
 /// * minimal footprint:     `f_t(p) ≈ δ·p`
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct DomainTrends {
     /// FLOPs per parameter per sample (training step, all phases).
     pub gamma: f64,

@@ -7,13 +7,12 @@
 //! prediction error.
 
 use modelzoo::{Domain, ModelConfig};
-use serde::Serialize;
 
 use crate::trends::DomainTrends;
 use crate::FamilyEngine;
 
 /// Prediction-error summary of one quantity.
-#[derive(Clone, Copy, Debug, Serialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ErrorStats {
     /// Mean relative error over the verification grid.
     pub mean_rel: f64,
@@ -32,10 +31,9 @@ impl ErrorStats {
 }
 
 /// Verification report: first-order predictions vs exact graph measurement.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug)]
 pub struct VerificationReport {
     /// The domain verified.
-    #[serde(skip)]
     pub domain: Domain,
     /// FLOPs-per-step prediction error (`γ·p·b` vs measured).
     pub flops: ErrorStats,

@@ -5,12 +5,12 @@
 //! cargo run --release -p bench --bin figures -- --figure 9
 //! ```
 
-use analysis::{fig11_batches, subbatch_analysis, sweep_domain};
+use analysis::{fig11_batches, frontier_config, subbatch_analysis, sweep_domain};
 use bench::{check_known_flags, eng, finish_trace, parse_selector, section, Table};
-use modelzoo::{Domain, ModelConfig};
+use modelzoo::Domain;
 use parsim::{data_parallel_sweep, CommConfig, WorkerStep};
 use roofline::{per_op_step_time, Accelerator, CacheModel};
-use scaling::{scaling_for, LearningCurve, SketchCurve};
+use scaling::{LearningCurve, SketchCurve};
 
 const SWEEP_LO: u64 = 10_000_000;
 const SWEEP_HI: u64 = 600_000_000;
@@ -96,9 +96,7 @@ fn fig10() {
 fn fig11() {
     section("Figure 11: subbatch size vs op intensity and step time per sample");
     let accel = Accelerator::v100_like();
-    let projection = scaling_for(Domain::WordLm).project();
-    let cfg = ModelConfig::default_for(Domain::WordLm)
-        .with_target_params(projection.target_params as u64);
+    let cfg = frontier_config(Domain::WordLm);
     let r = subbatch_analysis(&cfg, &fig11_batches(), &accel);
     let mut t = Table::new(["subbatch", "FLOP/B", "step time/sample (s)"]);
     for p in &r.points {

@@ -29,9 +29,9 @@ use std::time::Instant;
 use analysis::{
     characterize_infer, infer_search_space, InferConfig, InferEngine, InferPlanRequest,
 };
+use obs::Json;
 use parsim::{enumerate_infer_naive, infer_search, SloTarget};
 use serve::flags::Flags;
-use serve::json::Json;
 
 const USAGE: &str = "usage: inferbench [--reps N] [--summary PATH] [--min-speedup X]
   --reps         grid/search passes per timing arm (default 50)

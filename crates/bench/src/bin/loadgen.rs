@@ -31,8 +31,8 @@ use std::time::{Duration, Instant};
 
 use std::sync::Mutex;
 
+use obs::Json;
 use serve::flags::Flags;
-use serve::json::Json;
 use serve::{ServeConfig, Server};
 
 const USAGE: &str = "usage: loadgen [--addr HOST:PORT] [--threads N] [--requests M] \

@@ -27,9 +27,9 @@ use std::process::ExitCode;
 
 use analysis::PlanSearchRequest;
 use modelzoo::Domain;
+use obs::Json;
 use parsim::{enumerate_naive, search, SearchSpace};
 use serve::flags::Flags;
-use serve::json::Json;
 
 const USAGE: &str = "usage: plansearch [--reps N] [--summary PATH] [--min-speedup X]
   --reps         repetitions per space for stable timings (default 100)

@@ -37,8 +37,8 @@ use std::time::Instant;
 use analysis::{characterize, CharacterizationPoint, FamilyEngine};
 use cgraph::{footprint_reference, Scheduler};
 use modelzoo::{Domain, ModelConfig};
+use obs::Json;
 use serve::flags::Flags;
-use serve::json::Json;
 
 const USAGE: &str =
     "usage: sweep [--points N] [--summary PATH] [--min-speedup X] [--min-batched-speedup X]

@@ -31,8 +31,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use modelzoo::{Domain, ModelConfig, BATCH_SYM};
+use obs::Json;
 use serve::flags::Flags;
-use serve::json::Json;
 use symath::{batch_program, batch_stats, intern_stats, Bindings};
 
 /// Allocation-counting wrapper around the system allocator.

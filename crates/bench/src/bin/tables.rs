@@ -34,11 +34,11 @@ fn profile_workload(domain: Domain) {
         rec.instant(
             "profile.op",
             vec![
-                ("workload".into(), obs::JsonValue::from(domain.key())),
-                ("op".into(), obs::JsonValue::from(op.name.as_str())),
-                ("kind".into(), obs::JsonValue::from(op.kind)),
-                ("flops".into(), obs::JsonValue::from(op.flops)),
-                ("bytes".into(), obs::JsonValue::from(op.bytes())),
+                ("workload".into(), obs::Json::from(domain.key())),
+                ("op".into(), obs::Json::from(op.name.as_str())),
+                ("kind".into(), obs::Json::from(op.kind)),
+                ("flops".into(), obs::Json::from(op.flops)),
+                ("bytes".into(), obs::Json::from(op.bytes())),
             ],
         );
     }

@@ -7,7 +7,6 @@
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use serde::{Deserialize, Serialize};
 use symath::Expr;
 
 use crate::op::{
@@ -78,7 +77,7 @@ struct ConsumerCsr {
 }
 
 /// A deep-learning training-step compute graph.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Graph {
     /// Graph name (model identifier).
     pub name: String,

@@ -9,13 +9,12 @@
 //!   outputs, ignoring caches and intermediates. Gather/scatter ops only
 //!   touch the rows they address, and `Reshape` is free (metadata only).
 
-use serde::{Deserialize, Serialize};
 use symath::Expr;
 
 use crate::tensor::{Shape, Tensor, TensorId};
 
 /// Unary/binary pointwise functions with their per-element FLOP cost.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum PointwiseFn {
     /// Elementwise addition (binary).
     Add,
@@ -66,7 +65,7 @@ impl PointwiseFn {
 }
 
 /// Pooling flavor.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum PoolKind {
     /// Max pooling.
     Max,
@@ -75,7 +74,7 @@ pub enum PoolKind {
 }
 
 /// Reduction flavor.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum ReduceKind {
     /// Sum over reduced axes.
     Sum,
@@ -86,7 +85,7 @@ pub enum ReduceKind {
 }
 
 /// The mathematical operation an [`Op`] performs.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub enum OpKind {
     /// Dense matrix multiply `A(m×k) · B(k×n)`, with optional transposes
     /// applied to the *stored* operands before the multiply.
@@ -207,7 +206,7 @@ pub enum OpKind {
 }
 
 /// Which phase of the training step an op belongs to.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Phase {
     /// Forward propagation.
     Forward,
@@ -218,7 +217,7 @@ pub enum Phase {
 }
 
 /// Stable identifier of an op within its graph.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct OpId(pub(crate) u32);
 
 impl OpId {
@@ -229,7 +228,7 @@ impl OpId {
 }
 
 /// A node in the compute graph: an operation consuming and producing tensors.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Op {
     pub(crate) id: OpId,
     /// Human-readable name, unique within the graph.

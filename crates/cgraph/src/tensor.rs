@@ -3,11 +3,10 @@
 use std::fmt;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
 use symath::{Bindings, Expr, ExprId, UnboundSymbol};
 
 /// Element type of a tensor.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum DType {
     /// 16-bit floating point.
     F16,
@@ -48,7 +47,7 @@ impl fmt::Display for DType {
 /// The role a tensor plays during a training step. Roles drive both the
 /// footprint model (weights and their gradients are persistent; activations
 /// are freed once consumed) and parameter counting.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum TensorKind {
     /// Training data fed into the graph; counts toward algorithmic IO.
     Input,
@@ -80,7 +79,7 @@ impl TensorKind {
 /// rather than copying its expressions, so the many tensors that take an
 /// existing tensor's shape (pointwise outputs, gradients) hold one copy of
 /// it between them. Equality, hashing and display go by value.
-#[derive(Clone, PartialEq, Eq, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct Shape(pub Arc<[Expr]>);
 
 impl Shape {
@@ -152,7 +151,7 @@ impl From<Vec<Expr>> for Shape {
 }
 
 /// Stable identifier of a tensor within its graph.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct TensorId(pub(crate) u32);
 
 impl TensorId {
@@ -163,7 +162,7 @@ impl TensorId {
 }
 
 /// A tensor node: named, shaped, typed data flowing between ops.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Tensor {
     pub(crate) id: TensorId,
     /// Human-readable name, unique within the graph.

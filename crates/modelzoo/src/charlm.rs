@@ -8,14 +8,13 @@
 //! giving the `6q` FLOPs/param asymptote of Table 2 at `q = 150`.
 
 use cgraph::{DType, Graph, GraphError, PointwiseFn, TensorId};
-use serde::{Deserialize, Serialize};
 use symath::Expr;
 
 use crate::common::{batch, Domain, ModelGraph};
 use crate::lstm::split_timesteps;
 
 /// Hyperparameters of the character LM.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CharLmConfig {
     /// Character vocabulary size (small: printable ASCII-ish).
     pub vocab: u64,

@@ -1,7 +1,6 @@
 //! Shared scaffolding for model builders.
 
 use cgraph::{build_training_step, Graph, TensorId};
-use serde::{Deserialize, Serialize};
 use symath::{Bindings, Expr, Symbol};
 
 /// The name of the subbatch-size symbol every model graph is parameterized
@@ -10,7 +9,7 @@ use symath::{Bindings, Expr, Symbol};
 pub const BATCH_SYM: &str = "b";
 
 /// The five DL domains studied in the paper.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Domain {
     /// Word language modeling (LSTM, Fig 2).
     WordLm,

@@ -2,7 +2,6 @@
 //! output selection (paper Fig 4).
 
 use cgraph::{DType, Graph};
-use serde::{Deserialize, Serialize};
 use symath::Expr;
 
 use crate::attention::{attention_combine, attention_step, stack_timesteps};
@@ -10,7 +9,7 @@ use crate::common::{batch, Domain, ModelGraph};
 use crate::lstm::{bilstm_layer, lstm_layer, split_timesteps};
 
 /// Hyperparameters of the NMT model.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NmtConfig {
     /// Word-piece vocabulary size (shared source/target).
     pub vocab: u64,

@@ -6,13 +6,12 @@
 //! filter size.
 
 use cgraph::{DType, Graph, GraphError, PointwiseFn, PoolKind, TensorId};
-use serde::{Deserialize, Serialize};
 use symath::Expr;
 
 use crate::common::{batch, Domain, ModelGraph};
 
 /// Standard ResNet depths.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ResNetDepth {
     /// 18 layers (basic blocks).
     D18,
@@ -59,7 +58,7 @@ impl ResNetDepth {
 }
 
 /// Hyperparameters of the ResNet classifier.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ResNetConfig {
     /// Depth variant.
     pub depth: ResNetDepth,

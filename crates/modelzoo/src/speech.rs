@@ -8,7 +8,6 @@
 //! omitted here and the attention context is pure dot attention.
 
 use cgraph::{DType, Graph};
-use serde::{Deserialize, Serialize};
 use symath::Expr;
 
 use crate::attention::{attention_combine, attention_step, stack_timesteps};
@@ -16,7 +15,7 @@ use crate::common::{batch, Domain, ModelGraph};
 use crate::lstm::{bilstm_layer, lstm_layer, split_timesteps};
 
 /// Hyperparameters of the speech model.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SpeechConfig {
     /// Spectrogram feature dimension per frame.
     pub features: u64,

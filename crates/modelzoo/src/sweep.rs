@@ -6,10 +6,9 @@ use crate::nmt::{build_nmt, NmtConfig};
 use crate::resnet::{build_resnet, ResNetConfig};
 use crate::speech::{build_speech, SpeechConfig};
 use crate::wordlm::{build_word_lm, WordLmConfig};
-use serde::{Deserialize, Serialize};
 
 /// A domain-tagged model configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ModelConfig {
     /// Word LM hyperparameters.
     WordLm(WordLmConfig),

@@ -11,14 +11,13 @@
 //! recurrent models: training FLOPs/param ≈ `6q + q²/d` with tying.
 
 use cgraph::{DType, Graph};
-use serde::{Deserialize, Serialize};
 use symath::Expr;
 
 use crate::common::{batch, Domain, ModelGraph};
 use crate::decode::{build_trunk, output_head};
 
 /// Hyperparameters of the Transformer LM.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TransformerConfig {
     /// Vocabulary size.
     pub vocab: u64,

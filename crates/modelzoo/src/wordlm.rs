@@ -2,14 +2,13 @@
 //! FC output over the vocabulary (paper Fig 2, §4.2, §6).
 
 use cgraph::{DType, Graph, TensorId};
-use serde::{Deserialize, Serialize};
 use symath::Expr;
 
 use crate::common::{batch, Domain, ModelGraph};
 use crate::lstm::{lstm_layer, split_timesteps};
 
 /// Hyperparameters of the word LM.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WordLmConfig {
     /// Vocabulary size `v`.
     pub vocab: u64,

@@ -1,95 +1,205 @@
-//! Minimal hand-rolled JSON serialization (the workspace has no serde_json).
+//! The workspace's one JSON value: builder, writer, and parser.
+//!
+//! Every JSON byte the workspace emits goes through [`Json`]: `/v1`
+//! response bodies, trace JSONL and Chrome-trace export, and the bench
+//! binaries' `BENCH_*.json` summaries. Numbers are `f64`, written
+//! integrally when exact and round-trippably (`{:?}`) otherwise;
+//! non-finite numbers write as `null`. The parser accepts standard JSON
+//! (numbers as `f64`) for the consumers that read JSON back: the load
+//! generator reads `/v1/metrics`, and the tests parse every endpoint and
+//! every trace line.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// A JSON-serializable argument value.
+/// A JSON document tree.
 #[derive(Clone, Debug, PartialEq)]
-pub enum JsonValue {
-    /// Unsigned integer.
-    U64(u64),
-    /// Signed integer.
-    I64(i64),
-    /// Float (non-finite values serialize as `null`).
-    F64(f64),
-    /// String (escaped on write).
-    Str(String),
-    /// Boolean.
+pub enum Json {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
     Bool(bool),
+    /// Any number (parsed as, and written from, `f64`; written integrally
+    /// when exact).
+    Num(f64),
+    /// String.
+    Str(String),
+    /// Array.
+    Arr(Vec<Json>),
+    /// Object. Keys keep insertion order on write via the paired Vec.
+    Obj(Vec<(String, Json)>),
 }
 
-impl From<u64> for JsonValue {
-    fn from(v: u64) -> Self {
-        JsonValue::U64(v)
+impl Json {
+    /// Object builder entry point.
+    pub fn obj() -> Json {
+        Json::Obj(Vec::new())
     }
-}
 
-impl From<usize> for JsonValue {
-    fn from(v: usize) -> Self {
-        JsonValue::U64(v as u64)
+    /// Insert a key (objects only; builder style).
+    pub fn set(mut self, key: &str, value: impl Into<Json>) -> Json {
+        if let Json::Obj(fields) = &mut self {
+            let value = value.into();
+            match fields.iter_mut().find(|(k, _)| k == key) {
+                Some(slot) => slot.1 = value,
+                None => fields.push((key.to_string(), value)),
+            }
+        }
+        self
     }
-}
 
-impl From<u32> for JsonValue {
-    fn from(v: u32) -> Self {
-        JsonValue::U64(v as u64)
-    }
-}
-
-impl From<i64> for JsonValue {
-    fn from(v: i64) -> Self {
-        JsonValue::I64(v)
-    }
-}
-
-impl From<f64> for JsonValue {
-    fn from(v: f64) -> Self {
-        JsonValue::F64(v)
-    }
-}
-
-impl From<bool> for JsonValue {
-    fn from(v: bool) -> Self {
-        JsonValue::Bool(v)
-    }
-}
-
-impl From<&str> for JsonValue {
-    fn from(v: &str) -> Self {
-        JsonValue::Str(v.to_string())
-    }
-}
-
-impl From<String> for JsonValue {
-    fn from(v: String) -> Self {
-        JsonValue::Str(v)
-    }
-}
-
-impl JsonValue {
-    /// Append this value's JSON encoding to `out`.
-    pub fn write_to(&self, out: &mut String) {
+    /// Member lookup on objects.
+    pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
-            JsonValue::U64(v) => {
-                let _ = write!(out, "{v}");
+            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+            _ => None,
+        }
+    }
+
+    /// Nested lookup by dotted path (`"cache.hits"`).
+    pub fn path(&self, dotted: &str) -> Option<&Json> {
+        dotted.split('.').try_fold(self, |v, seg| v.get(seg))
+    }
+
+    /// Numeric value, if this is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Json::Num(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// String value, if this is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// Array items, if this is an array.
+    pub fn as_arr(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(items) => Some(items),
+            _ => None,
+        }
+    }
+
+    /// Serialize to a compact JSON string.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out);
+        out
+    }
+
+    fn write(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => {
+                let _ = write!(out, "{b}");
             }
-            JsonValue::I64(v) => {
-                let _ = write!(out, "{v}");
+            Json::Num(n) if n.is_finite() => {
+                if n.fract() == 0.0 && n.abs() < 9.007_199_254_740_992e15 {
+                    let _ = write!(out, "{}", *n as i64);
+                } else {
+                    let _ = write!(out, "{n:?}");
+                }
             }
-            JsonValue::F64(v) if v.is_finite() => {
-                // `{:?}` keeps round-trippable precision and always includes
-                // a decimal point or exponent, so the value parses as float.
-                let _ = write!(out, "{v:?}");
-            }
-            JsonValue::F64(_) => out.push_str("null"),
-            JsonValue::Str(s) => {
+            Json::Num(_) => out.push_str("null"),
+            Json::Str(s) => {
                 out.push('"');
                 escape_into(s, out);
                 out.push('"');
             }
-            JsonValue::Bool(v) => {
-                let _ = write!(out, "{v}");
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    item.write(out);
+                }
+                out.push(']');
+            }
+            Json::Obj(fields) => {
+                out.push('{');
+                for (i, (k, v)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    out.push('"');
+                    escape_into(k, out);
+                    out.push_str("\":");
+                    v.write(out);
+                }
+                out.push('}');
             }
         }
+    }
+
+    /// Parse a JSON document. Errors carry the byte offset of the failure.
+    pub fn parse(text: &str) -> Result<Json, String> {
+        let mut p = Parser {
+            bytes: text.as_bytes(),
+            pos: 0,
+        };
+        p.skip_ws();
+        let value = p.value()?;
+        p.skip_ws();
+        if p.pos != p.bytes.len() {
+            return Err(format!("trailing data at byte {}", p.pos));
+        }
+        Ok(value)
+    }
+}
+
+impl From<bool> for Json {
+    fn from(v: bool) -> Json {
+        Json::Bool(v)
+    }
+}
+impl From<f64> for Json {
+    fn from(v: f64) -> Json {
+        Json::Num(v)
+    }
+}
+impl From<u64> for Json {
+    fn from(v: u64) -> Json {
+        Json::Num(v as f64)
+    }
+}
+impl From<usize> for Json {
+    fn from(v: usize) -> Json {
+        Json::Num(v as f64)
+    }
+}
+impl From<u32> for Json {
+    fn from(v: u32) -> Json {
+        Json::Num(f64::from(v))
+    }
+}
+impl From<&str> for Json {
+    fn from(v: &str) -> Json {
+        Json::Str(v.to_string())
+    }
+}
+impl From<String> for Json {
+    fn from(v: String) -> Json {
+        Json::Str(v)
+    }
+}
+impl From<Vec<Json>> for Json {
+    fn from(v: Vec<Json>) -> Json {
+        Json::Arr(v)
+    }
+}
+impl<V: Into<Json> + Clone> From<&BTreeMap<String, V>> for Json {
+    fn from(map: &BTreeMap<String, V>) -> Json {
+        Json::Obj(
+            map.iter()
+                .map(|(k, v)| (k.clone(), v.clone().into()))
+                .collect(),
+        )
     }
 }
 
@@ -116,19 +226,175 @@ fn escape_into(s: &str, out: &mut String) {
     }
 }
 
-/// Append `{"k":v,...}` for an argument list to `out`.
-pub(crate) fn write_args(args: &[(String, JsonValue)], out: &mut String) {
-    out.push('{');
-    for (i, (key, value)) in args.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+struct Parser<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Parser<'_> {
+    fn skip_ws(&mut self) {
+        while let Some(b) = self.bytes.get(self.pos) {
+            if matches!(b, b' ' | b'\t' | b'\n' | b'\r') {
+                self.pos += 1;
+            } else {
+                break;
+            }
         }
-        out.push('"');
-        escape_into(key, out);
-        out.push_str("\":");
-        value.write_to(out);
     }
-    out.push('}');
+
+    fn peek(&self) -> Option<u8> {
+        self.bytes.get(self.pos).copied()
+    }
+
+    fn expect(&mut self, b: u8) -> Result<(), String> {
+        if self.peek() == Some(b) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(format!("expected {:?} at byte {}", char::from(b), self.pos))
+        }
+    }
+
+    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
+        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(value)
+        } else {
+            Err(format!("invalid literal at byte {}", self.pos))
+        }
+    }
+
+    fn value(&mut self) -> Result<Json, String> {
+        match self.peek() {
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'"') => self.string().map(Json::Str),
+            Some(b'[') => self.array(),
+            Some(b'{') => self.object(),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            _ => Err(format!("unexpected input at byte {}", self.pos)),
+        }
+    }
+
+    fn array(&mut self) -> Result<Json, String> {
+        self.expect(b'[')?;
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Json::Arr(items));
+        }
+        loop {
+            self.skip_ws();
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b']') => {
+                    self.pos += 1;
+                    return Ok(Json::Arr(items));
+                }
+                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
+            }
+        }
+    }
+
+    fn object(&mut self) -> Result<Json, String> {
+        self.expect(b'{')?;
+        let mut fields = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Json::Obj(fields));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            self.skip_ws();
+            let value = self.value()?;
+            fields.push((key, value));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(Json::Obj(fields));
+                }
+                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
+            }
+        }
+    }
+
+    fn string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            match self.peek() {
+                None => return Err("unterminated string".into()),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
+                }
+                Some(b'\\') => {
+                    self.pos += 1;
+                    let esc = self.peek().ok_or("unterminated escape")?;
+                    self.pos += 1;
+                    match esc {
+                        b'"' => out.push('"'),
+                        b'\\' => out.push('\\'),
+                        b'/' => out.push('/'),
+                        b'b' => out.push('\u{8}'),
+                        b'f' => out.push('\u{c}'),
+                        b'n' => out.push('\n'),
+                        b'r' => out.push('\r'),
+                        b't' => out.push('\t'),
+                        b'u' => {
+                            let hex = self
+                                .bytes
+                                .get(self.pos..self.pos + 4)
+                                .ok_or("truncated \\u escape")?;
+                            let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
+                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
+                            self.pos += 4;
+                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                        }
+                        other => {
+                            return Err(format!("bad escape \\{} ", char::from(other)));
+                        }
+                    }
+                }
+                Some(_) => {
+                    // Consume one UTF-8 scalar (the input is a &str, so byte
+                    // boundaries are valid).
+                    let rest = &self.bytes[self.pos..];
+                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
+                    let ch = s.chars().next().ok_or("empty")?;
+                    out.push(ch);
+                    self.pos += ch.len_utf8();
+                }
+            }
+        }
+    }
+
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.pos;
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        while matches!(
+            self.peek(),
+            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+        ) {
+            self.pos += 1;
+        }
+        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
+        text.parse::<f64>()
+            .map(Json::Num)
+            .map_err(|_| format!("bad number {text:?} at byte {start}"))
+    }
 }
 
 #[cfg(test)]
@@ -143,29 +409,74 @@ mod tests {
 
     #[test]
     fn values_serialize() {
-        let mut out = String::new();
-        JsonValue::from(3u64).write_to(&mut out);
-        out.push(',');
-        JsonValue::from(-2i64).write_to(&mut out);
-        out.push(',');
-        JsonValue::from(1.5f64).write_to(&mut out);
-        out.push(',');
-        JsonValue::from(f64::NAN).write_to(&mut out);
-        out.push(',');
-        JsonValue::from("x\"y").write_to(&mut out);
-        assert_eq!(out, "3,-2,1.5,null,\"x\\\"y\"");
+        let values = vec![
+            Json::from(3u64),
+            Json::Num(-2.0),
+            Json::from(1.5),
+            Json::from(f64::NAN),
+            Json::from("x\"y"),
+        ];
+        assert_eq!(Json::Arr(values).render(), "[3,-2,1.5,null,\"x\\\"y\"]");
     }
 
     #[test]
     fn args_object() {
-        let mut out = String::new();
-        write_args(
-            &[
-                ("flops".to_string(), JsonValue::from(12u64)),
-                ("tag".to_string(), JsonValue::from("fw")),
-            ],
-            &mut out,
+        let args = vec![
+            ("flops".to_string(), Json::from(12u64)),
+            ("tag".to_string(), Json::from("fw")),
+        ];
+        assert_eq!(Json::Obj(args).render(), "{\"flops\":12,\"tag\":\"fw\"}");
+    }
+
+    #[test]
+    fn roundtrips_nested_documents() {
+        let doc = Json::obj()
+            .set("name", "frontier")
+            .set("ok", true)
+            .set("count", 42u64)
+            .set("ratio", 0.125)
+            .set(
+                "items",
+                Json::Arr(vec![Json::Num(1.0), Json::Null, Json::Str("x\"y".into())]),
+            );
+        let text = doc.render();
+        let back = Json::parse(&text).expect("parses");
+        assert_eq!(back.path("name").and_then(Json::as_str), Some("frontier"));
+        assert_eq!(back.path("count").and_then(Json::as_f64), Some(42.0));
+        assert_eq!(
+            back.path("items").and_then(Json::as_arr).map(<[Json]>::len),
+            Some(3)
         );
-        assert_eq!(out, "{\"flops\":12,\"tag\":\"fw\"}");
+        assert_eq!(back.render(), text);
+    }
+
+    #[test]
+    fn rejects_malformed_documents() {
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "{\"a\":}",
+            "tru",
+            "01a",
+            "\"unterminated",
+            "{}x",
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn integers_render_without_exponent() {
+        assert_eq!(Json::Num(1e6).render(), "1000000");
+        assert_eq!(Json::Num(1.5).render(), "1.5");
+        assert_eq!(Json::Num(f64::NAN).render(), "null");
+    }
+
+    #[test]
+    fn parses_numbers_and_escapes() {
+        let v = Json::parse(r#"{"a": -1.5e3, "b": "x\nA"}"#).expect("parses");
+        assert_eq!(v.path("a").and_then(Json::as_f64), Some(-1500.0));
+        assert_eq!(v.path("b").and_then(Json::as_str), Some("x\nA"));
     }
 }

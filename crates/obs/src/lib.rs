@@ -1,6 +1,8 @@
-//! Lightweight observability for the frontier workspace.
+//! Lightweight observability for the frontier workspace, and its one JSON
+//! type.
 //!
-//! Three pieces, no external dependencies beyond `parking_lot`:
+//! The only dependency is `parking_lot`, for the recorder and registry locks.
+//! The pieces:
 //!
 //! * **Spans** — RAII wall-clock timers ([`span`], [`Span`]) that record into
 //!   a global, thread-safe [`Recorder`]. Dropping a span emits a "complete"
@@ -8,10 +10,12 @@
 //! * **Counters and instants** — point-in-time measurements
 //!   ([`Recorder::counter`], [`Recorder::instant`]) for things like FLOP
 //!   totals or sweep sizes.
-//! * **Export** — hand-rolled (no serde) [JSONL](Recorder::write_jsonl) for
-//!   line-oriented tooling, and a
-//!   [Chrome-trace-compatible](Recorder::write_chrome_trace) JSON array that
-//!   loads in `chrome://tracing` / Perfetto for timeline views.
+//! * **Export** — [JSONL](Recorder::write_jsonl) for line-oriented tooling,
+//!   and a [Chrome-trace-compatible](Recorder::write_chrome_trace) JSON
+//!   array that loads in `chrome://tracing` / Perfetto for timeline views.
+//! * **JSON** — [`Json`], a document tree with a builder, a compact writer
+//!   and a parser. Trace export, the query server's `/v1` bodies and the
+//!   bench binaries' summaries all write through it.
 //! * **Metrics** — a name → instrument [registry](metrics::Registry) of
 //!   sharded counters, gauges, and log₂ histograms with Prometheus text
 //!   exposition; see [`metrics`].
@@ -26,7 +30,7 @@ pub mod metrics;
 mod recorder;
 mod span;
 
-pub use json::{escape as json_escape, JsonValue};
+pub use json::{escape as json_escape, Json};
 pub use recorder::{recorder, EventKind, Recorder, TraceEvent};
 pub use span::{span, time, Span};
 

@@ -9,7 +9,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use crate::json::{write_args, JsonValue};
+use crate::json::Json;
 
 /// What kind of trace event this is (maps onto Chrome trace phases).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -23,11 +23,11 @@ pub enum EventKind {
 }
 
 impl EventKind {
-    fn phase(self) -> char {
+    fn phase(self) -> &'static str {
         match self {
-            EventKind::Complete => 'X',
-            EventKind::Instant => 'i',
-            EventKind::Counter => 'C',
+            EventKind::Complete => "X",
+            EventKind::Instant => "i",
+            EventKind::Counter => "C",
         }
     }
 
@@ -56,55 +56,41 @@ pub struct TraceEvent {
     /// Complete span, instant marker, or counter sample.
     pub kind: EventKind,
     /// Key/value payload.
-    pub args: Vec<(String, JsonValue)>,
+    pub args: Vec<(String, Json)>,
 }
 
 impl TraceEvent {
     /// Render as a single JSONL line (no trailing newline).
     pub fn to_jsonl(&self) -> String {
-        let mut out = String::with_capacity(96);
-        out.push_str("{\"name\":");
-        JsonValue::Str(self.name.clone()).write_to(&mut out);
-        out.push_str(",\"cat\":");
-        JsonValue::Str(self.category.clone()).write_to(&mut out);
-        out.push_str(",\"kind\":\"");
-        out.push_str(self.kind.label());
-        out.push_str("\",\"ts_us\":");
-        JsonValue::U64(self.start_us).write_to(&mut out);
-        out.push_str(",\"dur_us\":");
-        JsonValue::U64(self.dur_us).write_to(&mut out);
-        out.push_str(",\"tid\":");
-        JsonValue::U64(self.thread).write_to(&mut out);
-        out.push_str(",\"args\":");
-        write_args(&self.args, &mut out);
-        out.push('}');
-        out
+        Json::obj()
+            .set("name", self.name.as_str())
+            .set("cat", self.category.as_str())
+            .set("kind", self.kind.label())
+            .set("ts_us", self.start_us)
+            .set("dur_us", self.dur_us)
+            .set("tid", self.thread)
+            .set("args", Json::Obj(self.args.clone()))
+            .render()
     }
 
     /// Render as one Chrome trace event object (no trailing comma).
     pub fn to_chrome(&self) -> String {
-        let mut out = String::with_capacity(96);
-        out.push_str("{\"name\":");
-        JsonValue::Str(self.name.clone()).write_to(&mut out);
-        out.push_str(",\"cat\":");
-        JsonValue::Str(self.category.clone()).write_to(&mut out);
-        out.push_str(",\"ph\":\"");
-        out.push(self.kind.phase());
-        out.push_str("\",\"ts\":");
-        JsonValue::U64(self.start_us).write_to(&mut out);
+        let mut event = Json::obj()
+            .set("name", self.name.as_str())
+            .set("cat", self.category.as_str())
+            .set("ph", self.kind.phase())
+            .set("ts", self.start_us);
         if self.kind == EventKind::Complete {
-            out.push_str(",\"dur\":");
-            JsonValue::U64(self.dur_us).write_to(&mut out);
+            event = event.set("dur", self.dur_us);
         }
         if self.kind == EventKind::Instant {
-            out.push_str(",\"s\":\"t\"");
+            event = event.set("s", "t");
         }
-        out.push_str(",\"pid\":1,\"tid\":");
-        JsonValue::U64(self.thread).write_to(&mut out);
-        out.push_str(",\"args\":");
-        write_args(&self.args, &mut out);
-        out.push('}');
-        out
+        event
+            .set("pid", 1u64)
+            .set("tid", self.thread)
+            .set("args", Json::Obj(self.args.clone()))
+            .render()
     }
 }
 
@@ -195,7 +181,7 @@ impl Recorder {
     }
 
     /// Record an instant marker with arguments.
-    pub fn instant(&self, name: &str, args: Vec<(String, JsonValue)>) {
+    pub fn instant(&self, name: &str, args: Vec<(String, Json)>) {
         self.record(TraceEvent {
             name: name.to_string(),
             category: category_of(name),
@@ -216,7 +202,7 @@ impl Recorder {
             dur_us: 0,
             thread: 0,
             kind: EventKind::Counter,
-            args: vec![("value".to_string(), JsonValue::F64(value))],
+            args: vec![("value".to_string(), Json::Num(value))],
         });
     }
 
@@ -296,7 +282,7 @@ mod tests {
     fn records_and_snapshots() {
         let rec = Recorder::new();
         rec.counter("sweep.points", 42.0);
-        rec.instant("parsim.start", vec![("stages".into(), JsonValue::U64(4))]);
+        rec.instant("parsim.start", vec![("stages".into(), Json::from(4u64))]);
         let events = rec.events();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].kind, EventKind::Counter);
@@ -310,13 +296,28 @@ mod tests {
     fn jsonl_lines_are_objects() {
         let rec = Recorder::new();
         rec.counter("c", 1.25);
+        rec.instant("i", vec![("stages".into(), Json::from(4u64))]);
         let mut buf = Vec::new();
         rec.write_jsonl_to(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
-        let line = text.lines().next().unwrap();
-        assert!(line.starts_with('{') && line.ends_with('}'));
-        assert!(line.contains("\"kind\":\"counter\""));
-        assert!(line.contains("\"value\":1.25"));
+        let lines: Vec<Json> = text
+            .lines()
+            .map(|line| Json::parse(line).expect("each line parses"))
+            .collect();
+        assert_eq!(lines.len(), 2);
+        let counter = &lines[0];
+        assert_eq!(counter.path("name").and_then(Json::as_str), Some("c"));
+        assert_eq!(counter.path("kind").and_then(Json::as_str), Some("counter"));
+        assert!(counter.path("ts_us").and_then(Json::as_f64).is_some());
+        assert_eq!(counter.path("dur_us").and_then(Json::as_f64), Some(0.0));
+        assert_eq!(
+            counter.path("args.value").and_then(Json::as_f64),
+            Some(1.25)
+        );
+        assert_eq!(
+            lines[1].path("args.stages").and_then(Json::as_f64),
+            Some(4.0)
+        );
     }
 
     #[test]
@@ -324,15 +325,38 @@ mod tests {
         let rec = Recorder::new();
         rec.counter("a", 1.0);
         rec.instant("b", vec![]);
+        rec.record(TraceEvent {
+            name: "s.span".into(),
+            category: "s".into(),
+            start_us: 10,
+            dur_us: 25,
+            thread: 0,
+            kind: EventKind::Complete,
+            args: vec![("ops".into(), Json::from(7u64))],
+        });
         let mut buf = Vec::new();
         rec.write_chrome_trace_to(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
-        let trimmed = text.trim();
-        assert!(trimmed.starts_with('[') && trimmed.ends_with(']'));
-        assert!(text.contains("\"ph\":\"C\""));
-        assert!(text.contains("\"ph\":\"i\""));
-        // Exactly one separating comma between the two event objects.
-        assert_eq!(text.matches("},").count(), 1);
+        let doc = Json::parse(&text).expect("the trace parses");
+        let events = doc.as_arr().expect("a JSON array");
+        assert_eq!(events.len(), 3);
+        let phase = |i: usize| events[i].path("ph").and_then(Json::as_str);
+        assert_eq!(
+            (phase(0), phase(1), phase(2)),
+            (Some("C"), Some("i"), Some("X"))
+        );
+        assert_eq!(
+            events[0].path("args.value").and_then(Json::as_f64),
+            Some(1.0)
+        );
+        assert_eq!(events[1].path("s").and_then(Json::as_str), Some("t"));
+        let span = &events[2];
+        assert_eq!(span.path("name").and_then(Json::as_str), Some("s.span"));
+        assert_eq!(span.path("ts").and_then(Json::as_f64), Some(10.0));
+        assert_eq!(span.path("dur").and_then(Json::as_f64), Some(25.0));
+        assert_eq!(span.path("args.ops").and_then(Json::as_f64), Some(7.0));
+        // Only complete spans carry a duration.
+        assert!(events[0].get("dur").is_none());
     }
 
     #[test]
@@ -348,7 +372,7 @@ mod tests {
         let values: Vec<f64> = events
             .iter()
             .filter_map(|e| match e.args.first() {
-                Some((_, JsonValue::F64(v))) => Some(*v),
+                Some((_, Json::Num(v))) => Some(*v),
                 _ => None,
             })
             .collect();

@@ -2,7 +2,7 @@
 
 use std::time::Instant;
 
-use crate::json::JsonValue;
+use crate::json::Json;
 use crate::recorder::{category_of, recorder, EventKind, Recorder, TraceEvent};
 
 /// A live span; records a `Complete` event with its wall-clock duration when
@@ -12,7 +12,7 @@ pub struct Span {
     name: String,
     start: Instant,
     start_us: u64,
-    args: Vec<(String, JsonValue)>,
+    args: Vec<(String, Json)>,
 }
 
 impl Span {
@@ -29,13 +29,13 @@ impl Span {
     }
 
     /// Attach a key/value argument (builder style).
-    pub fn with_arg(mut self, key: &str, value: impl Into<JsonValue>) -> Span {
+    pub fn with_arg(mut self, key: &str, value: impl Into<Json>) -> Span {
         self.args.push((key.to_string(), value.into()));
         self
     }
 
     /// Attach a key/value argument to a span already in scope.
-    pub fn arg(&mut self, key: &str, value: impl Into<JsonValue>) {
+    pub fn arg(&mut self, key: &str, value: impl Into<Json>) {
         self.args.push((key.to_string(), value.into()));
     }
 }

@@ -1,10 +1,8 @@
 //! Gradient-reduction communication models (paper §6.2.1, after Patarasuk &
 //! Yuan's bandwidth-optimal ring allreduce).
 
-use serde::{Deserialize, Serialize};
-
 /// Communication cost parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CommConfig {
     /// Inter-device link bandwidth, B/s (Table 4: 56 GB/s).
     pub link_bw: f64,

@@ -7,10 +7,8 @@
 //! The paper projects 1.5–10× memory/communication reductions from this
 //! family of techniques.
 
-use serde::{Deserialize, Serialize};
-
 /// A gradient-compression scheme applied before the allreduce.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum GradCompression {
     /// Full-precision f32 gradients (the paper's baseline).
     None,

@@ -1,12 +1,11 @@
 //! Synchronous data-parallel SGD scaling (paper §6.2.1, Figure 12).
 
 use roofline::Accelerator;
-use serde::{Deserialize, Serialize};
 
 use crate::allreduce::{ring_allreduce_seconds, CommConfig};
 
 /// Description of one data-parallel worker's training step.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct WorkerStep {
     /// Compute time of one step on one worker, seconds (typically the
     /// cache-hierarchy-aware per-op roofline time).
@@ -21,7 +20,7 @@ pub struct WorkerStep {
 }
 
 /// One point of the data-parallel scaling curve.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct ScalePoint {
     /// Number of data-parallel workers.
     pub workers: u64,

@@ -49,14 +49,13 @@
 //! [`lattice`](crate::lattice) core; profiles are walked sequentially.
 
 use roofline::Accelerator;
-use serde::{Deserialize, Serialize};
 
 use crate::lattice::{assert_ascending, cap_cut, fits_cap, LatticeResult, Ranked};
 
 /// One serving candidate: an accelerator running one model replica at one
 /// decode batch size, characterized and roofline-priced upstream (see
 /// `analysis::infer_search_space`).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct InferProfile {
     /// Registry key of the accelerator (see [`Accelerator::by_key`]).
     pub accel_key: String,
@@ -73,7 +72,7 @@ pub struct InferProfile {
 }
 
 /// The serving SLO a plan must meet.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SloTarget {
     /// p99 per-token latency bound, seconds (time per output token).
     pub p99_token_seconds: f64,
@@ -82,7 +81,7 @@ pub struct SloTarget {
 }
 
 /// The joint serving search space.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct InferSearchSpace {
     /// Accelerator × batch candidates.
     pub profiles: Vec<InferProfile>,
@@ -99,7 +98,7 @@ pub struct InferSearchSpace {
 }
 
 /// One evaluated serving configuration.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct InferPlanPoint {
     /// Accelerator registry key.
     pub accel_key: String,
@@ -121,7 +120,7 @@ pub struct InferPlanPoint {
 
 /// Enumeration/pruning counters (informational; not part of the exactness
 /// contract).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct InferSearchStats {
     /// Lattice points in the space (profiles × replica counts).
     pub considered: u64,

@@ -14,8 +14,6 @@
 
 use std::cmp::Ordering;
 
-use serde::{Deserialize, Serialize};
-
 /// One minimized objective axis.
 pub trait Axis: Copy + PartialOrd {
     /// The total order the Pareto sweep sorts by.
@@ -157,7 +155,7 @@ pub(crate) fn cap_cut(ladder: &[u64], ways: u64, cap: u64) -> &[u64] {
 }
 
 /// Everything a lattice search returns.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LatticeResult<P, S> {
     /// Every feasible point, in canonical enumeration order (profile by
     /// profile, each ladder ascending).

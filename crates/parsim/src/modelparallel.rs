@@ -1,10 +1,8 @@
 //! Layer-wise model parallelism and embedding sharding (paper §6.2.2).
 
-use serde::{Deserialize, Serialize};
-
 /// One layer-parallel stage: a contiguous slice of the model placed on one
 //  accelerator.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Stage {
     /// Stage label ("embedding", "lstm0", …).
     pub name: String,
@@ -22,7 +20,7 @@ impl Stage {
 }
 
 /// Result of applying layer parallelism to one data-parallel worker.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LayerParallelPlan {
     /// Per-stage footprints in bytes, in stage order.
     pub stage_footprints: Vec<f64>,

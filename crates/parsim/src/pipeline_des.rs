@@ -7,10 +7,8 @@
 //! (a) stage `k` finished microbatch `m − 1` and (b) stage `k − 1` finished
 //! microbatch `m`.
 
-use serde::{Deserialize, Serialize};
-
 /// Result of simulating one training step through the pipeline.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PipelineSim {
     /// Wall-clock time for all microbatches to drain, seconds.
     pub makespan_seconds: f64,
@@ -19,7 +17,7 @@ pub struct PipelineSim {
 }
 
 /// One stage × microbatch occupancy interval from a traced simulation.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct PipelineEvent {
     /// Pipeline stage index.
     pub stage: usize,

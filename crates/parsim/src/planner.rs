@@ -9,7 +9,6 @@
 //! hand in §6.2.
 
 use roofline::Accelerator;
-use serde::{Deserialize, Serialize};
 
 use crate::allreduce::CommConfig;
 use crate::dataparallel::WorkerStep;
@@ -17,7 +16,7 @@ use crate::modelparallel::Stage;
 use crate::search::{plan_point, split_variants};
 
 /// Model-parallel strategy the planner may apply within one worker.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ModelParallelism {
     /// No intra-worker split (requires the model to fit one accelerator).
     None,
@@ -29,7 +28,7 @@ pub enum ModelParallelism {
 }
 
 /// The planning problem.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct PlanRequest {
     /// One worker's step profile (compute time, FLOPs, gradient bytes,
     /// samples per step).
@@ -75,7 +74,7 @@ impl PlanRequest {
 }
 
 /// A feasible plan found by the planner.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Plan {
     /// Data-parallel worker count.
     pub dp_workers: u64,

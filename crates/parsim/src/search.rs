@@ -44,7 +44,6 @@
 //! the result is deterministic and equal to the sequential oracle.
 
 use roofline::Accelerator;
-use serde::{Deserialize, Serialize};
 
 use crate::allreduce::{ring_allreduce_seconds, CommConfig};
 use crate::dataparallel::WorkerStep;
@@ -55,7 +54,7 @@ use crate::planner::{ModelParallelism, Plan};
 /// One accelerator-specific workload profile: how one worker's training step
 /// behaves on this part (the per-accelerator inputs the §6 case study
 /// derives by hand).
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct CandidateProfile {
     /// Registry key of the accelerator (see [`Accelerator::by_key`]).
     pub accel_key: String,
@@ -72,7 +71,7 @@ pub struct CandidateProfile {
 }
 
 /// The joint search space.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct SearchSpace {
     /// Accelerator × subbatch candidates.
     pub profiles: Vec<CandidateProfile>,
@@ -105,7 +104,7 @@ impl SearchSpace {
 }
 
 /// One evaluated configuration.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SearchPoint {
     /// Accelerator registry key.
     pub accel_key: String,
@@ -119,7 +118,7 @@ pub struct SearchPoint {
 
 /// Enumeration/pruning counters (informational; not part of the exactness
 /// contract).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Lattice points in the space (profiles × variants × worker counts).
     pub considered: u64,
@@ -155,7 +154,7 @@ impl Ranked for SearchPoint {
 }
 
 /// Per-accelerator memory and compute cost of one model-parallel variant.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct VariantCost {
     /// The strategy this variant prices.
     pub parallelism: ModelParallelism,

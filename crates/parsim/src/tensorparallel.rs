@@ -7,12 +7,10 @@
 //! of an activation allreduce per layer boundary per microstep (forward and
 //! backward), Megatron-style.
 
-use serde::{Deserialize, Serialize};
-
 use crate::allreduce::{ring_allreduce_seconds, CommConfig};
 
 /// Configuration of a tensor-parallel execution of one training step.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct TensorParallelConfig {
     /// Number of accelerators the layers are split across.
     pub ways: u64,
@@ -25,7 +23,7 @@ pub struct TensorParallelConfig {
 }
 
 /// Result of the tensor-parallel timing model.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct TensorParallelPlan {
     /// Wall-clock compute+sync time of one step, seconds.
     pub step_seconds: f64,

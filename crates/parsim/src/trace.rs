@@ -1,6 +1,6 @@
 //! Export simulated pipeline schedules as trace events.
 
-use obs::{EventKind, JsonValue, TraceEvent};
+use obs::{EventKind, Json, TraceEvent};
 
 use crate::pipeline_des::PipelineEvent;
 
@@ -20,11 +20,11 @@ pub fn pipeline_trace_events(events: &[PipelineEvent]) -> Vec<TraceEvent> {
             thread: e.stage as u64,
             kind: EventKind::Complete,
             args: vec![
-                ("stage".to_string(), JsonValue::from(e.stage)),
-                ("microbatch".to_string(), JsonValue::from(e.microbatch)),
+                ("stage".to_string(), Json::from(e.stage)),
+                ("microbatch".to_string(), Json::from(e.microbatch)),
                 (
                     "duration_seconds".to_string(),
-                    JsonValue::from(e.end_seconds - e.start_seconds),
+                    Json::from(e.end_seconds - e.start_seconds),
                 ),
             ],
         })

@@ -7,10 +7,8 @@
 //! transcriptions, but internally consistent `(FLOP/s per dtype, memory
 //! BW/capacity, interconnect BW)` tuples selectable by registry key.
 
-use serde::{Deserialize, Serialize};
-
 /// Numeric precision a kernel runs at, for per-dtype peak lookup.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Precision {
     /// IEEE double precision.
     F64,
@@ -22,7 +20,7 @@ pub enum Precision {
 }
 
 /// An accelerator configuration for roofline projections.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Accelerator {
     /// Human-readable name.
     pub name: String,

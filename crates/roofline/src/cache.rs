@@ -21,14 +21,13 @@
 //!   is also evaluated and the cheaper of the two is charged.
 
 use cgraph::{Graph, NumericStats, Op, OpKind};
-use serde::{Deserialize, Serialize};
 use symath::{Bindings, UnboundSymbol};
 
 use crate::accel::Accelerator;
 use crate::timing::{roofline_time, RooflineTime};
 
 /// Which memory-traffic model to charge matmuls with.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum CacheModel {
     /// Paper §2.1 algorithmic bytes (no cache effects).
     Algorithmic,

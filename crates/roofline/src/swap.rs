@@ -8,12 +8,10 @@
 //! host link twice per step (out and back in), serialized with compute in
 //! the worst case and overlapped in the best case.
 
-use serde::{Deserialize, Serialize};
-
 use crate::accel::Accelerator;
 
 /// Host-link configuration for swap-traffic pricing.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct HostLink {
     /// Host↔accelerator bandwidth, B/s (PCIe 3.0 ×16 ≈ 16 GB/s).
     pub bandwidth: f64,
@@ -32,7 +30,7 @@ impl Default for HostLink {
 }
 
 /// Swap analysis of one training step on one accelerator.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct SwapReport {
     /// Bytes that do not fit in usable accelerator memory.
     pub spilled_bytes: f64,

@@ -1,12 +1,11 @@
 //! Roofline step-time estimation (paper §5.2.2).
 
 use cgraph::NumericStats;
-use serde::{Deserialize, Serialize};
 
 use crate::accel::Accelerator;
 
 /// Which side of the roofline bounds a workload.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Bound {
     /// Limited by compute throughput.
     Compute,
@@ -15,7 +14,7 @@ pub enum Bound {
 }
 
 /// A roofline time estimate.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RooflineTime {
     /// Estimated execution time, seconds.
     pub seconds: f64,

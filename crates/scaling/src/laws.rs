@@ -1,13 +1,11 @@
 //! Power-law learning curves and model-size curves (paper §3, after
 //! Hestness et al. 2017).
 
-use serde::{Deserialize, Serialize};
-
 /// Generalization-error learning curve `ε(m) = α·m^βg` (paper Eq. 1).
 ///
 /// `m` is the number of training samples; `βg ∈ [−0.5, 0)` — closer to −0.5
 /// means the model learns more from each additional sample.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LearningCurve {
     /// Scale constant `α` (input-space / architecture dependent).
     pub alpha: f64,
@@ -49,7 +47,7 @@ impl LearningCurve {
 /// Model-capacity curve `p(m) = σ·m^βp` (paper Eq. 2): parameters required
 /// to fit a dataset of `m` samples. `βp ∈ [0.5, 1)` — sublinear, else one
 /// could simply memorize the dataset.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ModelSizeCurve {
     /// Scale constant `σ`.
     pub sigma: f64,
@@ -84,7 +82,7 @@ impl ModelSizeCurve {
 
 /// The three-region learning-curve sketch of Figure 6: a best-guess plateau
 /// for small data, the power-law region, and an irreducible-error floor.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct SketchCurve {
     /// The power-law mid-region.
     pub power_law: LearningCurve,

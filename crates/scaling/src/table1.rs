@@ -2,15 +2,13 @@
 //! for the five DL domains, plus the frontier projections derived from them.
 
 use modelzoo::Domain;
-use serde::{Deserialize, Serialize};
 
 use crate::laws::{LearningCurve, ModelSizeCurve};
 
 /// One row of Table 1 plus the absolute anchors needed for Table 3.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DomainScaling {
     /// The domain.
-    #[serde(skip, default = "default_domain")]
     pub domain: Domain,
     /// Accuracy metric name (nats/word, bits/char, WPER, CER, Top-1).
     pub metric: &'static str,
@@ -32,15 +30,8 @@ pub struct DomainScaling {
     pub current_params: f64,
 }
 
-// Referenced only through the `#[serde(default = ...)]` attribute, which the
-// offline serde stand-in does not expand.
-#[allow(dead_code)]
-fn default_domain() -> Domain {
-    Domain::WordLm
-}
-
 /// Frontier projection for one domain (feeds Tables 1 and 3).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Projection {
     /// Required growth in training data (×).
     pub data_scale: f64,

@@ -17,6 +17,8 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use obs::Json;
+
 use crate::trace::{Stage, STAGE_COUNT};
 
 /// Ring shards. Eight matches the counter sharding in `obs::metrics`.
@@ -145,8 +147,7 @@ impl FlightRecorder {
 
 impl RequestRecord {
     /// Render as the JSON object served by `/v1/debug/requests`.
-    pub fn to_json(&self) -> crate::json::Json {
-        use crate::json::Json;
+    pub fn to_json(&self) -> Json {
         let stages = Stage::ALL
             .iter()
             .enumerate()

@@ -21,8 +21,9 @@
 //! One [`cache::ResponseCache`] holds each response once — body and
 //! pre-rendered heads in one allocation — under its `QueryKey`, with a
 //! raw-target alias index sharing the same `Arc` for the reactor's warm
-//! path. Everything is `std`-only: hand-rolled HTTP, JSON, histogram, and
-//! raw-FFI epoll (see the `reactor` module); the LRU is `analysis::Lru`.
+//! path. Everything is `std`-only: hand-rolled HTTP, histogram, and raw-FFI
+//! epoll (see the `reactor` module); bodies are built with `obs::Json` and
+//! the LRU is `analysis::Lru`.
 //! See `DESIGN.md` § "Event-driven serve tier" for the connection state
 //! machine and the response cache,
 //! § "Serving layer" for cache keying and shutdown semantics, and
@@ -33,7 +34,6 @@ pub mod cache;
 pub mod flags;
 pub mod flight;
 pub mod http;
-pub mod json;
 pub mod metrics;
 pub mod pool;
 pub mod query;

@@ -7,7 +7,7 @@
 
 use modelzoo::Domain;
 
-use crate::json::Json;
+use obs::Json;
 
 /// A structured request-handling error: HTTP status + machine-readable code
 /// + human message. Renders as the server's JSON error body.

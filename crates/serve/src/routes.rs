@@ -28,10 +28,10 @@ use scaling::scaling_for;
 
 use crate::cache::{CachedBytes, Outcome};
 use crate::http::Request;
-use crate::json::Json;
 use crate::query::{ApiError, Query};
 use crate::trace::{elapsed_us, RequestTrace, Stage};
 use crate::AppState;
+use obs::Json;
 
 /// Media type of the Prometheus text exposition.
 pub const PROMETHEUS_CONTENT_TYPE: &str = "text/plain; version=0.0.4";

@@ -17,7 +17,7 @@
 
 use std::time::Instant;
 
-use crate::json::Json;
+use obs::Json;
 
 /// Stages a request passes through, in pipeline order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -157,16 +157,10 @@ impl RequestTrace {
             thread: 0,
             kind: obs::EventKind::Complete,
             args: vec![
-                ("id".to_string(), obs::JsonValue::U64(self.id)),
-                (
-                    "target".to_string(),
-                    obs::JsonValue::Str(target.to_string()),
-                ),
-                (
-                    "endpoint".to_string(),
-                    obs::JsonValue::Str(endpoint.to_string()),
-                ),
-                ("status".to_string(), obs::JsonValue::U64(u64::from(status))),
+                ("id".to_string(), obs::Json::from(self.id)),
+                ("target".to_string(), obs::Json::from(target)),
+                ("endpoint".to_string(), obs::Json::from(endpoint)),
+                ("status".to_string(), obs::Json::from(u64::from(status))),
             ],
         });
         let mut offset = start_us;
@@ -182,7 +176,7 @@ impl RequestTrace {
                 dur_us: dur,
                 thread: 0,
                 kind: obs::EventKind::Complete,
-                args: vec![("id".to_string(), obs::JsonValue::U64(self.id))],
+                args: vec![("id".to_string(), obs::Json::from(self.id))],
             });
             offset = offset.saturating_add(dur);
         }

@@ -13,13 +13,11 @@
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 
-use serde::{Deserialize, Serialize};
-
 use crate::rat::Rat;
 use crate::symbol::Symbol;
 
 /// Uninterpreted functions that participate in expressions.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Func {
     /// Pointwise maximum of the arguments.
     Max(Vec<Expr>),
@@ -31,7 +29,7 @@ pub enum Func {
 
 /// A multiplicative base: a symbol, a composite sub-expression (kept for
 /// non-polynomial structure such as `(a+b)^(-1)`), or a function application.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub enum Atom {
     /// A bare symbol.
     Sym(Symbol),
@@ -43,7 +41,7 @@ pub enum Atom {
 
 /// One product term: `coeff · Π atomᵢ^expᵢ` with factors sorted by atom and
 /// no zero exponents.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Term {
     pub(crate) coeff: Rat,
     pub(crate) factors: Vec<(Atom, Rat)>,
@@ -134,7 +132,7 @@ fn combine_equal_atoms(factors: &mut Vec<(Atom, Rat)>) {
 /// The empty sum is zero. Terms are sorted by their factor lists, and no two
 /// terms share the same factor list, so `PartialEq` is semantic equality for
 /// the polynomial fragment.
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct Expr {
     pub(crate) terms: Vec<Term>,
 }

@@ -9,11 +9,9 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, Div, Mul, Neg, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// An exact rational number `num / den`, always stored in lowest terms with
 /// `den > 0`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Rat {
     num: i128,
     den: i128,

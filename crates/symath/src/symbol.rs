@@ -8,10 +8,9 @@
 use std::fmt;
 
 use parking_lot::RwLock;
-use serde::{Deserialize, Serialize};
 
 /// A cheap, copyable handle to an interned symbol name.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Symbol(u32);
 
 struct Interner {

@@ -21,9 +21,7 @@ fn main() {
         });
 
     let accel = Accelerator::v100_like();
-    let projection = scaling_for(domain).project();
-    let cfg = ModelConfig::default_for(domain)
-        .with_target_params(projection.target_params.round() as u64);
+    let cfg = analysis::frontier_config(domain);
     println!(
         "{} at frontier scale ({:.2e} params) on {}\n",
         domain.label(),

@@ -8,8 +8,8 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
+use obs::Json;
 use proptest::prelude::*;
-use serve::json::Json;
 use serve::{ServeConfig, Server};
 
 fn test_server() -> Server {

@@ -14,8 +14,7 @@ fn full_pipeline_word_lm_frontier() {
     assert!(projection.target_params > 20e9);
 
     // 2. Model construction (modelzoo) at the projected scale.
-    let cfg = ModelConfig::default_for(Domain::WordLm)
-        .with_target_params(projection.target_params as u64);
+    let cfg = analysis::frontier_config(Domain::WordLm);
     let model = cfg.build_training();
     model
         .graph

@@ -2,6 +2,7 @@
 //! `cgraph::profile` must sum to `Graph::stats` totals on every modelzoo
 //! workload and on randomized graphs under randomized bindings.
 
+use frontier::obs::Json;
 use frontier::prelude::*;
 use frontier::symath::{Bindings, Expr};
 use proptest::prelude::*;
@@ -36,7 +37,7 @@ fn per_op_profile_sums_match_stats_for_all_workloads() {
 }
 
 /// Trace spans from a profile run land in the global recorder and export as
-/// one JSON object per line.
+/// one JSON object per line, each of which parses.
 #[test]
 fn profile_emits_parseable_jsonl_trace() {
     let cfg = ModelConfig::default_for(Domain::Nmt);
@@ -48,14 +49,25 @@ fn profile_emits_parseable_jsonl_trace() {
     let mut buf = Vec::new();
     rec.write_jsonl_to(&mut buf).unwrap();
     let text = String::from_utf8(buf).unwrap();
-    for line in text.lines() {
-        assert!(
-            line.starts_with('{') && line.ends_with('}'),
-            "not a JSON object: {line}"
-        );
-        assert!(line.contains("\"name\":"), "missing name: {line}");
+    let events: Vec<Json> = text
+        .lines()
+        .map(|line| Json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}")))
+        .collect();
+    for event in &events {
+        assert!(event.get("name").and_then(Json::as_str).is_some());
+        assert!(event.get("ts_us").and_then(Json::as_f64).is_some());
+        assert!(event.get("dur_us").and_then(Json::as_f64).is_some());
     }
-    assert!(text.contains("cgraph.profile"));
+    let ops = model.graph.ops().len() as f64;
+    assert!(
+        events.iter().any(|e| {
+            e.get("name").and_then(Json::as_str) == Some("cgraph.profile")
+                && e.path("args.graph").and_then(Json::as_str) == Some(model.graph.name.as_str())
+                && e.path("args.ops").and_then(Json::as_f64) == Some(ops)
+        }),
+        "no cgraph.profile span for {} with {ops} ops",
+        model.graph.name
+    );
 }
 
 /// A random MLP: `depth` hidden layers of random widths, optionally trained

@@ -8,9 +8,9 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
+use obs::Json;
 use proptest::prelude::*;
 use serve::http::{self, Feed};
-use serve::json::Json;
 use serve::{ServeConfig, Server};
 
 /// Boot a server on an ephemeral port with small limits suited to tests.

@@ -9,8 +9,8 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::Ordering;
 use std::time::Duration;
 
+use obs::Json;
 use proptest::prelude::*;
-use serve::json::Json;
 use serve::{ServeConfig, Server};
 
 /// Boot a server on an ephemeral port with small limits suited to tests.

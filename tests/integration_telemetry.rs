@@ -9,7 +9,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use serve::json::Json;
+use obs::Json;
 use serve::{ServeConfig, Server};
 
 fn test_server() -> Server {
