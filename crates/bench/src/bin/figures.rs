@@ -6,11 +6,13 @@
 //! ```
 
 use analysis::{fig11_batches, frontier_config, subbatch_analysis, sweep_domain};
-use bench::{check_known_flags, eng, finish_trace, parse_selector, section, Table};
+use bench::{eng, finish_trace, section, Table};
 use modelzoo::Domain;
 use parsim::{data_parallel_sweep, CommConfig, WorkerStep};
 use roofline::{per_op_step_time, Accelerator, CacheModel};
 use scaling::{LearningCurve, SketchCurve};
+use serve::flags::Flags;
+use std::path::PathBuf;
 
 const SWEEP_LO: u64 = 10_000_000;
 const SWEEP_HI: u64 = 600_000_000;
@@ -150,15 +152,16 @@ fn fig12() {
 }
 
 fn main() {
-    let usage = |e: String| -> ! {
+    let flags = Flags::from_env();
+    let parsed = (|| -> Result<(Option<u32>, Option<PathBuf>), String> {
+        flags.check_known(&["--figure", "--trace"])?;
+        Ok((flags.get("--figure")?, flags.get("--trace")?))
+    })();
+    let (selector, trace) = parsed.unwrap_or_else(|e| {
         eprintln!("{e}");
         eprintln!("usage: figures [--figure N] [--trace PATH]");
         std::process::exit(2);
-    };
-    if let Err(e) = check_known_flags(&["--figure", "--trace"]) {
-        usage(e);
-    }
-    let selector = parse_selector("--figure").unwrap_or_else(|e| usage(e));
+    });
     match selector {
         Some(6) => fig6(),
         Some(7) => fig7(),
@@ -181,5 +184,5 @@ fn main() {
             fig12();
         }
     }
-    finish_trace();
+    finish_trace(trace.as_deref());
 }

@@ -6,11 +6,13 @@
 //! ```
 
 use analysis::{fit_domain_trends, table3, word_lm_case_study};
-use bench::{check_known_flags, eng, finish_trace, parse_selector, section, times, Table};
+use bench::{eng, finish_trace, section, times, Table};
 use modelzoo::{Domain, ModelConfig};
 use parsim::CommConfig;
 use roofline::Accelerator;
 use scaling::table1 as table1_rows;
+use serve::flags::Flags;
+use std::path::PathBuf;
 
 /// Print a TFprof-style per-op breakdown for one workload's training step
 /// and emit the top ops into the trace recorder.
@@ -217,15 +219,16 @@ fn table5() {
 }
 
 fn main() {
-    let usage = |e: String| -> ! {
+    let flags = Flags::from_env();
+    let parsed = (|| -> Result<(Option<u32>, Option<PathBuf>), String> {
+        flags.check_known(&["--table", "--trace"])?;
+        Ok((flags.get("--table")?, flags.get("--trace")?))
+    })();
+    let (selector, trace) = parsed.unwrap_or_else(|e| {
         eprintln!("{e}");
         eprintln!("usage: tables [--table N] [--trace PATH]");
         std::process::exit(2);
-    };
-    if let Err(e) = check_known_flags(&["--table", "--trace"]) {
-        usage(e);
-    }
-    let selector = parse_selector("--table").unwrap_or_else(|e| usage(e));
+    });
     match selector {
         Some(1) => table1(),
         Some(2) => table2(),
@@ -244,5 +247,5 @@ fn main() {
             table5();
         }
     }
-    finish_trace();
+    finish_trace(trace.as_deref());
 }

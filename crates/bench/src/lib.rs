@@ -1,8 +1,14 @@
-//! Shared report plumbing for the table/figure regenerators, and the
+//! Shared plumbing of the `bench` bins: the `tables` and `figures`
+//! regenerators, the `loadgen` load generator and the self-gating `sweep`,
+//! `symbench`, `plansearch` and `inferbench` races.
+//!
+//! Every bin reads its command line through one [`serve::flags::Flags`].
+//! This library holds the report formatting, the trace export and the
 //! brute-vs-pruned race of the `plansearch` and `inferbench` gates.
 
 #![warn(missing_docs)]
 
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// A simple fixed-width text table.
@@ -155,36 +161,10 @@ pub fn section(title: impl std::fmt::Display) {
     println!("\n=== {title} ===\n");
 }
 
-/// Parse a `--table N` / `--figure N` style CLI argument; `Ok(None)` = all.
-///
-/// Delegates to the structured flag parser shared with the `serve` binary
-/// ([`serve::flags::Flags`]). A present flag with a missing, flag-like, or
-/// non-numeric value is reported as an `Err` so the binaries can print
-/// usage instead of panicking.
-pub fn parse_selector(flag: &str) -> Result<Option<u32>, String> {
-    serve::flags::Flags::from_env().get(flag)
-}
-
-/// Reject unknown `--flags` (typo guard shared with the `serve` binary).
-pub fn check_known_flags(known: &[&str]) -> Result<(), String> {
-    serve::flags::Flags::from_env().check_known(known)
-}
-
-/// Parse a `--trace PATH` argument, falling back to the `FRONTIER_TRACE`
-/// environment variable. `None` means tracing stays in memory only.
-pub fn parse_trace_path() -> Option<std::path::PathBuf> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| args.get(i + 1))
-        .map(std::path::PathBuf::from)
-        .or_else(|| obs::trace_path_from_env().map(std::path::PathBuf::from))
-}
-
 /// Flush the global recorder: write the JSONL trace to `path` and a
 /// Chrome-trace JSON array to `<path>.chrome.json`. Prints a short note so
 /// the user knows where the trace landed.
-pub fn export_trace(path: &std::path::Path) -> std::io::Result<()> {
+pub fn export_trace(path: &Path) -> std::io::Result<()> {
     let rec = obs::recorder();
     rec.write_jsonl(path)?;
     let chrome = path.with_extension(match path.extension().and_then(|e| e.to_str()) {
@@ -201,11 +181,13 @@ pub fn export_trace(path: &std::path::Path) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Export the trace if the CLI/env selected a path; report failures to
-/// stderr without aborting the run.
-pub fn finish_trace() {
-    if let Some(path) = parse_trace_path() {
-        if let Err(e) = export_trace(&path) {
+/// Export the trace to `path` (the `--trace` value), else to the
+/// `FRONTIER_TRACE` environment variable's path; with neither, tracing stays
+/// in memory only. Failures go to stderr without aborting the run.
+pub fn finish_trace(path: Option<&Path>) {
+    let env = obs::trace_path_from_env().map(PathBuf::from);
+    if let Some(path) = path.or(env.as_deref()) {
+        if let Err(e) = export_trace(path) {
             eprintln!("trace: failed to write {}: {e}", path.display());
         }
     }

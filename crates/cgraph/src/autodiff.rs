@@ -43,7 +43,9 @@ impl<'g> Diff<'g> {
     /// is released. Marking partials persistent would hold every
     /// per-timestep partial for the whole step and inflate the footprint by
     /// orders of magnitude (this is what `TensorKind::WeightGradient`
-    /// models for frameworks that do keep them; see the footprint ablation).
+    /// models for frameworks that do keep them). The golden Table 3
+    /// footprints in `tests/golden/tables.txt` are priced with freeable
+    /// gradients, so a persistent partial would move them.
     fn grad_kind(&self, _forward: TensorId) -> TensorKind {
         TensorKind::Gradient
     }

@@ -10,7 +10,8 @@
 //!   eager framework would do), and
 //! * [`Scheduler::GreedyMinPeak`] at each step runs the ready op that
 //!   minimizes the net change in live memory — a strong practical baseline
-//!   that the ablation bench compares against program order.
+//!   that `integration_models::best_scheduler_never_exceeds_program_order_footprint`
+//!   and the peak-pass unit tests below hold against program order.
 //!
 //! [`Scheduler::Best`] keeps whichever of the two peaks lower, greedy on a
 //! tie. Both traversals start from one shared set-up (reference counts, the
@@ -53,7 +54,8 @@ pub enum Scheduler {
     ProgramOrder,
     /// Greedily execute the ready op with the smallest net memory delta.
     /// Strong on graphs with reclaimable fan-out, but short-sighted
-    /// schedules can lose to program order (see the scheduler ablation).
+    /// schedules can lose to program order (see
+    /// `tests::peak_pass_cuts_greedy_off_when_program_order_wins`).
     GreedyMinPeak,
     /// Run every heuristic and report the best (smallest-peak) traversal —
     /// the closest estimate of the paper's minimum-over-traversals

@@ -35,8 +35,9 @@ pub fn ring_allreduce_seconds(bytes: f64, workers: u64, comm: &CommConfig) -> f6
 }
 
 /// Binary-tree allreduce (reduce + broadcast): `2·⌈log₂N⌉·(α + s/bw)`.
-/// Latency-optimal but moves the full buffer at every level — the ablation
-/// baseline against the ring.
+/// Latency-optimal but moves the full buffer at every level — the baseline
+/// the ring is tested against (`tests::tree_beats_ring_for_tiny_buffers_many_workers`,
+/// `tests::ring_beats_tree_for_large_buffers`).
 pub fn tree_allreduce_seconds(bytes: f64, workers: u64, comm: &CommConfig) -> f64 {
     assert!(bytes >= 0.0);
     if workers <= 1 {

@@ -55,22 +55,18 @@ impl Flags {
     }
 
     /// Reject flags outside `known` (typo guard). Positional arguments and
-    /// flag values are ignored; anything starting with `--` must be known.
+    /// flag values are ignored; anything starting with `--` must be known,
+    /// also where it follows a flag, because [`Flags::get`] never takes a
+    /// `--` token as a value.
     pub fn check_known(&self, known: &[&str]) -> Result<(), String> {
-        let mut skip_value = false;
-        for arg in &self.args {
-            if skip_value {
-                skip_value = false;
-                continue;
-            }
-            if arg.starts_with("--") {
-                if !known.contains(&arg.as_str()) {
-                    return Err(format!("unknown flag {arg:?}"));
-                }
-                skip_value = true;
-            }
+        match self
+            .args
+            .iter()
+            .find(|arg| arg.starts_with("--") && !known.contains(&arg.as_str()))
+        {
+            Some(arg) => Err(format!("unknown flag {arg:?}")),
+            None => Ok(()),
         }
-        Ok(())
     }
 }
 
@@ -102,5 +98,10 @@ mod tests {
         let f = Flags::from_args(["--addr", "127.0.0.1:0", "--oops", "1"]);
         assert!(f.check_known(&["--addr"]).is_err());
         assert!(f.check_known(&["--addr", "--oops"]).is_ok());
+        // A typo right after a bare switch is still a flag, not its value.
+        let f = Flags::from_args(["--spawn", "--bogus", "3"]);
+        assert!(f.check_known(&["--spawn"]).is_err());
+        let f = Flags::from_args(["--keep-alive", "--treads", "4"]);
+        assert!(f.check_known(&["--keep-alive", "--threads"]).is_err());
     }
 }
